@@ -199,11 +199,6 @@ class GroupIndex:
                 bucket = self._members[key] = {}
                 self._score_sum[key] = 0.0
                 self._sorted_keys = None
-            previous = bucket.get(event.cell)
-            if previous is not None:
-                # same-cell re-put within the same group (identical
-                # update object re-emitted): refresh score bookkeeping
-                self._score_sum[key] -= previous.score
             bucket[event.cell] = update
             self._score_sum[key] += update.score
             self._keys_by_tid.setdefault(event.cell[0], set()).add(key)

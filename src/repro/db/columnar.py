@@ -186,6 +186,14 @@ class ColumnStore:
         """Codes of tuple *tid* at the given column positions (one gather)."""
         return self._matrix[positions, self._pos_of[tid]]
 
+    def gather(self, positions: Sequence[int], rows: Sequence[int]) -> np.ndarray:
+        """Codes at column *positions* x storage *rows* (one slice).
+
+        Returns a ``(len(positions), len(rows))`` array; row positions
+        come from :meth:`position_of`.
+        """
+        return self._matrix[np.ix_(positions, rows)]
+
     def code_at(self, row: int, pos: int) -> int:
         """Code at storage row *row*, column *pos* (no tid indirection).
 

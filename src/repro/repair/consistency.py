@@ -249,9 +249,8 @@ class ConsistencyManager:
         # these tuples' suggestions and coverage may drift; the next
         # delta refresh re-examines them
         self._touched.update(affected)
-        # one batched generation pass over every revisited cell; cell
-        # decisions are independent, so pre-reading the had-a-suggestion
-        # flags matches the interleaved per-cell reference exactly
+        # one batched generation pass over every revisited cell; it
+        # reports the cells that carried a suggestion before or after
         cells: list[tuple[int, str]] = []
         ordered_attrs = sorted(revisit_attrs)
         for other_tid in sorted(affected):
@@ -261,13 +260,9 @@ class ConsistencyManager:
                     continue
                 if self.state.is_changeable(other_cell):
                     cells.append(other_cell)
-        had_update = [self.state.get(cell) is not None for cell in cells]
-        regenerated = self.generator.generate_for_cells(cells)
-        return [
-            cell
-            for cell, had, update in zip(cells, had_update, regenerated)
-            if had or update is not None
-        ]
+        revisited: list[tuple[int, str]] = []
+        self.generator.generate_for_cells(cells, revisited=revisited)
+        return revisited
 
     # ------------------------------------------------------------------
     def refresh_suggestions(self) -> int:

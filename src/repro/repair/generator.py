@@ -19,13 +19,14 @@ come straight from the column vocabulary, and scenario-2 partner
 histograms are memoised per ``(rule, partition, stats version)``.
 
 The engine drives generation through the **batched** path
-(:meth:`UpdateGenerator.generate_for_cells`): cells are processed in
-order, each tuple's violated-rule list is resolved once, cells sharing
-an ``(attribute, current code, witness signature)`` reuse one selection
-decision — carried *across* batches while ``(db.version,
-detector.stats_epoch)`` holds still — and candidate pools are scored
-through the batched Eq. 7
-kernel (:meth:`~repro.repair.similarity.SimilarityCache.scores`). The
+(:meth:`UpdateGenerator.generate_for_cells`): cells are bucketed by
+``(attribute, violated rules)``, each bucket's witness signatures are
+gathered in one code-matrix slice, and each distinct signature is
+decided once — carried *across* batches while ``(db.version,
+detector.stats_epoch)`` holds still — with candidate pools scored
+through the batched Eq. 7 kernel
+(:meth:`~repro.repair.similarity.SimilarityCache.scores`). A decision
+equal to a cell's live suggestion leaves the pool untouched. The
 per-cell scalar path (:meth:`UpdateGenerator.generate_for_cell` with
 ``batched=False``) is retained as the byte-identical reference behind
 ``GDRConfig(suggest="scalar")``.
@@ -59,7 +60,8 @@ _DECISION_MEMO_CAPACITY = 8192
 #: unbounded in the number of partitions at scale.
 _WITNESS_MEMO_CAPACITY = 1 << 16
 
-_UNSET = object()
+#: The outcome of a cell with no admissible value (or a clean tuple).
+_NO_DECISION: tuple[object | None, float] = (None, -1.0)
 
 
 class UpdateGenerator:
@@ -119,10 +121,10 @@ class UpdateGenerator:
         self._rhs_memo: dict[tuple, tuple[int, list[object]]] = {}
         # (rule, attribute) -> witness column positions, fixed per rule
         self._witness_positions: dict[tuple, tuple[tuple[str, ...], tuple[int, ...]]] = {}
-        # witness signature -> shared selection outcome, carried across
-        # generate_for_cells batches while (db version, detector stats
-        # epoch) hold still; a signature pins every pool input, so the
-        # stamp is the only remaining variable
+        # ((attribute, rules), signature codes) -> shared selection outcome,
+        # carried across generate_for_cells batches while (db version,
+        # detector stats epoch) hold still; a signature pins every pool
+        # input, so the stamp is the only remaining variable
         self._decision_memo: dict[tuple, tuple[object | None, float]] = {}
         self._decision_stamp: tuple[int, int] = (-1, -1)
         self._memo_hits = {"witness": 0, "rhs": 0, "decision": 0}
@@ -181,79 +183,163 @@ class UpdateGenerator:
         self,
         cells,
         violated_by_tid: dict[int, list] | None = None,
+        revisited: list[tuple[int, str]] | None = None,
     ) -> list[CandidateUpdate | None]:
         """Algorithm 1 batched over many cells (aligned result list).
 
         Byte-identical to running :meth:`generate_for_cell` per cell in
-        order: cell decisions are independent (each depends only on the
+        order. Cell decisions are independent (each depends only on the
         database, the detector and the cell's own prevented/changeable
-        flags), so violated-rule lists are shared per tuple and the
-        full selection outcome is shared across cells with an equal
-        witness signature. The decision memo survives between calls,
-        stamped by ``(db.version, detector.stats_epoch)`` — repeated
-        generation passes over an unchanged substrate (e.g. re-ranking
-        between feedback batches) skip pool construction and scoring
-        entirely. Pools are scored through the batched Eq. 7 kernel
-        when the similarity function supports it.
+        flags), so the batch runs in three phases:
+
+        1. **classify** (read-only, cell order): frozen cells are
+           skipped, each tuple's violated-rule list is resolved once,
+           prevented cells are decided on their own (their admissible
+           set is cell-specific) and every other cell joins the bucket
+           of its ``(attribute, violated rules)``;
+        2. **decide** (per bucket): a cell's decision is fixed by the
+           codes at the bucket's signature columns (see
+           :meth:`_signature_columns`), gathered for the whole bucket in
+           one code-matrix slice; each distinct code row is decided
+           once through the decision memo, which survives between
+           calls stamped by ``(db.version, detector.stats_epoch)``;
+        3. **apply** (cell order): a decision equal to the cell's live
+           suggestion keeps the live object and emits no state event;
+           anything else replaces or removes it.
+
+        So the cost per call scales with the number of distinct
+        decisions, not with the number of cells. When *revisited* is
+        given, every cell that carried a live suggestion before or
+        after the call is appended to it, in cell order.
         """
         if not self.batched:
-            return [self.generate_for_cell(tid, attr) for tid, attr in cells]
+            results = []
+            for cell in cells:
+                had = self.state.get(cell) is not None
+                update = self.generate_for_cell(*cell)
+                if revisited is not None and (had or update is not None):
+                    revisited.append(cell)
+                results.append(update)
+            return results
+        state = self.state
+        db = self.db
+        stamp = (db.version, self.detector.stats_epoch)
+        if stamp != self._decision_stamp:
+            self._decision_memo.clear()
+            self._decision_stamp = stamp
+        outcome, buckets = self._classify(cells, violated_by_tid)
+        for violated, per_attr in buckets.items():
+            for attribute, (indexes, rows) in per_attr.items():
+                self._decide_bucket(cells, outcome, attribute, violated, indexes, rows)
+
+        results: list[CandidateUpdate | None] = []
+        for cell, decision in zip(cells, outcome):
+            if decision is None:  # frozen
+                results.append(None)
+                continue
+            live = state.get(cell)
+            best_value, best_score = decision
+            if best_value is None:
+                update = None
+                if live is not None:
+                    state.remove(cell)
+            elif live is not None and (live.value, live.score) == decision:
+                update = live
+            else:
+                update = CandidateUpdate(cell[0], cell[1], best_value, best_score)
+                state.put(update)
+            if revisited is not None and (live is not None or update is not None):
+                revisited.append(cell)
+            results.append(update)
+        return results
+
+    def _classify(self, cells, violated_by_tid):
+        """Phase 1: per-cell decisions for the unshareable cells, and the
+        buckets (cell indexes, storage rows) of the rest, keyed by
+        violated rules, then attribute."""
         state = self.state
         detector = self.detector
         db = self.db
         columns = db.columns
-        schema = db.schema
         if violated_by_tid is None:
             violated_by_tid = {}
-        results: list[CandidateUpdate | None] = []
-        stamp = (db.version, detector.stats_epoch)
-        if stamp != self._decision_stamp:
-            self._decision_memo.clear()
-            self._decision_stamp = stamp
-        decisions = self._decision_memo
-        for cell in cells:
+        is_changeable = state.is_changeable
+        prevented_view = state.prevented_view
+        outcome: list[tuple[object | None, float] | None] = [None] * len(cells)
+        # violated rules -> attribute -> (cell indexes, storage rows);
+        # nested so a cell's lookup hashes only its attribute. A tuple's
+        # cells are usually adjacent, so its rule list and row are
+        # resolved once per run of cells
+        by_violated: dict[tuple, dict[str, tuple[list[int], list[int]]]] = {}
+        last_tid = None
+        for index, cell in enumerate(cells):
+            if not is_changeable(cell):
+                continue
             tid, attribute = cell
-            if not state.is_changeable(cell):
-                results.append(None)
-                continue
-            violated = violated_by_tid.get(tid)
-            if violated is None:
-                violated = violated_by_tid[tid] = detector.violated_rules(tid)
+            if tid != last_tid:
+                last_tid = tid
+                violated = violated_by_tid.get(tid)
+                if violated is None:
+                    violated = violated_by_tid[tid] = detector.violated_rules(tid)
+                if violated:
+                    violated = tuple(violated)
+                    per_attr = by_violated.get(violated)
+                    if per_attr is None:
+                        per_attr = by_violated[violated] = {}
+                    row = columns.position_of(tid)
             if not violated:
-                state.remove(cell)
-                results.append(None)
+                outcome[index] = _NO_DECISION
                 continue
-            current = db.value(tid, attribute)
-            prevented = state.prevented(cell)
-            signature = None
-            decision = _UNSET
-            if not prevented:
-                # prevented cells get no sharing: their admissible set
-                # is cell-specific
-                signature = self._signature(
-                    tid, columns.position_of(tid), attribute, violated, columns, schema
-                )
-                decision = decisions.get(signature, _UNSET)
-            if decision is _UNSET:
+            prevented = prevented_view(cell)
+            if prevented:
                 pools = self._pools_for(tid, attribute, violated)
-                decision = self._select_best(attribute, current, pools, prevented)
-                if signature is not None:
+                outcome[index] = self._select_best(
+                    attribute, db.value(tid, attribute), pools, prevented
+                )
+                continue
+            bucket = per_attr.get(attribute)
+            if bucket is None:
+                bucket = per_attr[attribute] = ([], [])
+            bucket[0].append(index)
+            bucket[1].append(row)
+        return outcome, by_violated
+
+    def _decide_bucket(self, cells, outcome, attribute, violated, indexes, rows) -> None:
+        """Phase 2: one Algorithm 1 decision per distinct signature row.
+
+        The bucket's signature codes arrive as one column per signature
+        position; ``zip`` turns them into one code row per cell. Hit/miss
+        counters stay per cell: a row's first cell is a miss unless the
+        memo already holds the row, every other cell a hit.
+        """
+        memo_key_prefix, positions = self._signature_columns(attribute, violated)
+        block = self.db.columns.gather(positions, rows)
+        decisions = self._decision_memo
+        # this bucket's rows: repeats skip hashing the memo key's rules
+        decided: dict[tuple, tuple[object | None, float]] = {}
+        hits = 0
+        for index, codes in zip(indexes, zip(*block.tolist())):
+            decision = decided.get(codes)
+            if decision is None:
+                memo_key = (memo_key_prefix, codes)
+                decision = decisions.get(memo_key)
+                if decision is None:
+                    tid = cells[index][0]
+                    current = self.db.value(tid, attribute)
+                    pools = self._pools_for(tid, attribute, violated)
+                    decision = self._select_best(attribute, current, pools, ())
                     self._memo_misses["decision"] += 1
                     if len(decisions) >= _DECISION_MEMO_CAPACITY:
                         decisions.clear()
                         self._memo_clears["decision"] += 1
-                    decisions[signature] = decision
-            elif signature is not None:
-                self._memo_hits["decision"] += 1
-            best_value, best_score = decision
-            if best_value is None:
-                state.remove(cell)
-                results.append(None)
-                continue
-            update = CandidateUpdate(tid, attribute, best_value, best_score)
-            state.put(update)
-            results.append(update)
-        return results
+                    decisions[memo_key] = decision
+                else:
+                    hits += 1
+                decided[codes] = decision
+            else:
+                hits += 1
+            outcome[index] = decision
+        self._memo_hits["decision"] += hits
 
     def generate_for_cell(self, tid: int, attribute: str) -> CandidateUpdate | None:
         """``UpdateAttributeTuple(t, B)`` — Algorithm 1, one cell.
@@ -273,7 +359,7 @@ class UpdateGenerator:
             self.state.remove(cell)
             return None
         current = self.db.value(tid, attribute)
-        prevented = self.state.prevented(cell)
+        prevented = self.state.prevented_view(cell)
 
         pools = self._pools_for(tid, attribute, violated)
         best_value, best_score = best_candidate(
@@ -305,33 +391,39 @@ class UpdateGenerator:
             pools.append(self._values_for_lhs(tid, attribute, violated))  # scenario 3
         return pools
 
-    def _signature(self, tid: int, row: int, attribute: str, violated, columns, schema) -> tuple:
-        """Witness signature: everything the cell's decision depends on.
+    def _signature_columns(self, attribute: str, violated: tuple) -> tuple[tuple, list[int]]:
+        """Decision-memo key prefix and signature columns of one bucket.
 
-        Two unprevented cells with equal signatures see identical
-        candidate pools (built in identical order) and an identical
-        current value, so they share one selection outcome:
+        Two unprevented cells of the bucket whose codes agree at these
+        columns see identical candidate pools (built in identical order)
+        and an identical current value, so they share one selection
+        outcome:
 
-        * the attribute and the cell's current code;
-        * per violated rule touching the attribute, the rule identity
-          plus its pool key — nothing for a constant RHS (the constant
-          is fixed by the rule), the tuple's LHS partition for a
-          variable RHS, the tuple's witness codes for an LHS rule.
+        * the attribute's own column (the current value);
+        * per violated variable rule with the attribute as RHS, the
+          rule's LHS columns — the tuple's partition key, since
+          vocabularies are bijective;
+        * per violated rule with the attribute on its LHS, the rule's
+          witness columns.
+
+        A violated constant rule with the attribute as RHS adds no
+        column: its constant is fixed by the rule. The key prefix names
+        the attribute and every violated rule touching it (rule objects,
+        compared by value), so buckets whose rule lists differ only in
+        rules that cannot move the decision share memo entries.
         """
-        pos = schema.position(attribute)
-        code_at = columns.code_at
-        parts: list = [pos, code_at(row, pos)]
+        schema = self.db.schema
+        rules = []
+        positions = [schema.position(attribute)]
         for rule in violated:
             if rule.rhs == attribute:
-                if rule.is_constant:
-                    parts.append(id(rule))
-                else:
-                    parts.append((id(rule), self.detector.partition_key(tid, rule)))
-            if attribute in rule.lhs:
-                __, positions = self._witness_layout(rule, attribute, schema)
-                codes = tuple(code_at(row, p) for p in positions)
-                parts.append((id(rule), codes))
-        return tuple(parts)
+                rules.append(rule)
+                if rule.is_variable:
+                    positions.extend(schema.positions(rule.lhs))
+            elif attribute in rule.lhs:
+                rules.append(rule)
+                positions.extend(self._witness_layout(rule, attribute, schema)[1])
+        return (attribute, tuple(rules)), positions
 
     def _witness_layout(self, rule, attribute: str, schema):
         """Witness attributes and column positions of *rule* sans *attribute*."""
@@ -444,7 +536,7 @@ class UpdateGenerator:
             if not (value == current or value in prevented or value is None)
         ]
         if not admissible:
-            return None, -1.0
+            return _NO_DECISION
         scores = self._scores(attribute, current, admissible)
         best_value: object | None = None
         best_score = -1.0

@@ -20,7 +20,7 @@ tuple *t* carry suggestions" an O(1) lookup instead of a pool scan.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Set as AbstractSet
 from enum import Enum
 from typing import NamedTuple
 
@@ -30,12 +30,16 @@ __all__ = ["EventKind", "RepairState", "StateEvent"]
 
 Cell = tuple[int, str]
 
+_EMPTY: frozenset[object] = frozenset()
+
 
 class EventKind(Enum):
     """What happened to the suggestion pool."""
 
     #: A suggestion became the live one for its cell (possibly
     #: replacing another — a replacement emits REMOVED then ADDED).
+    #: Re-putting a suggestion equal to the live one fires nothing, so
+    #: a cell never sees ADDED twice without a REMOVED in between.
     ADDED = "added"
     #: A live suggestion left the pool (removed, discarded, replaced,
     #: or dropped by a freeze).
@@ -132,6 +136,14 @@ class RepairState:
         """Values confirmed wrong for *cell* (copy)."""
         return set(self._prevented.get(cell, ()))
 
+    def prevented_view(self, cell: Cell) -> AbstractSet[object]:
+        """Values confirmed wrong for *cell* — the live set, not a copy.
+
+        For hot read-only callers (the suggestion generator asks once
+        per revisited cell); the result must not be mutated.
+        """
+        return self._prevented.get(cell, _EMPTY)
+
     def is_prevented(self, cell: Cell, value: object) -> bool:
         """True when *value* was already rejected for *cell*."""
         return value in self._prevented.get(cell, ())
@@ -155,10 +167,17 @@ class RepairState:
         return dropped
 
     def put(self, update: CandidateUpdate) -> None:
-        """Insert or replace the live suggestion for the update's cell."""
+        """Insert or replace the live suggestion for the update's cell.
+
+        Putting an update equal to the live one is a no-op: the live
+        object stays and no event fires. A different update replaces
+        the live one, emitting REMOVED then ADDED.
+        """
         cell = update.cell
         existing = self._possible.get(cell)
-        if existing is not None and existing != update:
+        if existing is not None:
+            if existing == update:
+                return
             self._pop(cell)
         self._possible[cell] = update
         self._by_tid.setdefault(cell[0], set()).add(cell[1])

@@ -44,6 +44,21 @@ def make_figure1_dirty_rows() -> list[list[str]]:
     return rows
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--update-goldens",
+        default="",
+        metavar="REASON",
+        help="rewrite tests/golden/trajectories.json, recording REASON in it",
+    )
+
+
+@pytest.fixture()
+def update_goldens(request) -> str:
+    """The stated reason for regenerating the golden trajectories, or ''."""
+    return request.config.getoption("--update-goldens")
+
+
 @pytest.fixture()
 def figure1_schema() -> Schema:
     """Schema of the Figure 1 example relation."""

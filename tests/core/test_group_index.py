@@ -57,6 +57,20 @@ class TestEventMaintenance:
         assert index.mean_score(("city", "A")) == 0.3
         assert index.verify()
 
+    def test_equal_reput_leaves_group_untouched(self):
+        state = RepairState()
+        index = GroupIndex(state)
+        cursor = index.dirty_cursor()
+        state.put(_update(3, "city", "A", 0.3))
+        index.poll_dirty_keys(cursor)
+        version = index.version(("city", "A"))
+        built = index.group(("city", "A"))
+        state.put(_update(3, "city", "A", 0.3))
+        assert index.poll_dirty_keys(cursor) == set()
+        assert index.version(("city", "A")) == version
+        assert index.group(("city", "A")) is built
+        assert index.verify()
+
     def test_keys_for_tid(self):
         state = RepairState()
         index = GroupIndex(state)

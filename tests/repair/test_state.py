@@ -1,6 +1,7 @@
 """Tests for :mod:`repro.repair.state`."""
 
 from repro.repair import CandidateUpdate, RepairState
+from repro.repair.state import EventKind
 
 
 def _u(tid=0, attr="a", value="v", score=0.5):
@@ -51,6 +52,15 @@ class TestPreventedValues:
         state.prevented((0, "a")).clear()
         assert state.prevented((0, "a")) == {"x"}
 
+    def test_prevented_view_is_live_and_read_only_empty(self):
+        state = RepairState()
+        empty = state.prevented_view((0, "a"))
+        assert not empty and isinstance(empty, frozenset)
+        state.prevent((0, "a"), "x")
+        view = state.prevented_view((0, "a"))
+        state.prevent((0, "a"), "y")
+        assert view == {"x", "y"}
+
     def test_per_cell_isolation(self):
         state = RepairState()
         state.prevent((0, "a"), "x")
@@ -71,6 +81,40 @@ class TestPossibleUpdates:
         state.put(_u(value="v2"))
         assert state.get((0, "a")).value == "v2"
         assert len(state) == 1
+
+    def test_equal_reput_is_silent_and_keeps_live_object(self):
+        state = RepairState()
+        events = []
+        state.add_listener(events.append)
+        live = _u()
+        state.put(live)
+        events.clear()
+        state.put(_u())  # equal value and score, different object
+        assert events == []
+        assert state.get((0, "a")) is live
+
+    def test_replacement_emits_removed_then_added(self):
+        state = RepairState()
+        events = []
+        state.add_listener(events.append)
+        old, new = _u(value="v1"), _u(value="v2")
+        state.put(old)
+        events.clear()
+        state.put(new)
+        assert [(e.kind, e.update) for e in events] == [
+            (EventKind.REMOVED, old),
+            (EventKind.ADDED, new),
+        ]
+
+    def test_score_change_is_a_replacement(self):
+        state = RepairState()
+        events = []
+        state.add_listener(events.append)
+        state.put(_u(score=0.5))
+        events.clear()
+        state.put(_u(score=0.6))
+        assert [e.kind for e in events] == [EventKind.REMOVED, EventKind.ADDED]
+        assert state.get((0, "a")).score == 0.6
 
     def test_remove(self):
         state = RepairState()
