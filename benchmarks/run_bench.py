@@ -2,7 +2,7 @@
 
 Entry point::
 
-    python benchmarks/run_bench.py [--suite micro|loop|drain|scaling|all] [-o PATH] [-k EXPR]
+    python benchmarks/run_bench.py [--suite micro|loop|drain|ml|scaling|scale|all] [-o PATH] [-k EXPR]
 
 Each suite runs under ``pytest-benchmark`` and writes a flat
 ``benchmark name -> median seconds`` JSON next to this file — by
@@ -12,12 +12,12 @@ interactive loop (``bench_loop.py``, delta vs rebuild pipeline),
 ``benchmarks/BENCH_drain.json`` for the learner drain,
 ``benchmarks/BENCH_ml.json`` for the committee substrate
 (``bench_ml.py``, histogram forest vs exact-sort reference with a
-recorded parity flag), and
+recorded parity flag),
 ``benchmarks/BENCH_scaling.json`` for the table-size sweeps
 (``bench_scaling.py``, no-learning + full-pipeline + suggest parity),
-and ``benchmarks/BENCH_shard.json`` for the sharded violation engine
-(``bench_shard.py``, serial vs partition-parallel detect/what-if over
-the synthetic scale-up instances, parity flags recorded) — so the
+and ``benchmarks/BENCH_scale.json`` for the violation engine on the
+synthetic 10^4–10^6-row instances (``bench_scale.py``, detect, what-if
+and cold start from raw rows to the first ranked group) — so the
 performance trajectory is visible across PRs with a one-line diff.
 """
 
@@ -40,7 +40,7 @@ SUITES = {
     "drain": (BENCH_DIR / "bench_drain.py", BENCH_DIR / "BENCH_drain.json"),
     "ml": (BENCH_DIR / "bench_ml.py", BENCH_DIR / "BENCH_ml.json"),
     "scaling": (BENCH_DIR / "bench_scaling.py", BENCH_DIR / "BENCH_scaling.json"),
-    "shard": (BENCH_DIR / "bench_shard.py", BENCH_DIR / "BENCH_shard.json"),
+    "scale": (BENCH_DIR / "bench_scale.py", BENCH_DIR / "BENCH_scale.json"),
 }
 
 # backward-compatible alias: older callers import DEFAULT_OUTPUT

@@ -1,7 +1,7 @@
 """repolint — AST-based contract checks for this repository.
 
 Eight PRs of growth made the system fast and durable by convention:
-batched/sharded paths must stay byte-identical to retained references,
+batched paths must stay byte-identical to retained references,
 memos must be version-stamped and bounded, fault points must be
 registered and chaos-tested, core paths must be deterministic so
 kill-and-restore replay works. This package checks those conventions

@@ -2,8 +2,7 @@
 
 repolint enforces the *contracts* eight PRs of growth have relied on —
 byte-identical parity references, stamped and bounded memos, registered
-and chaos-tested fault points, deterministic core paths, spawn-safe
-dispatch and leak-free shared memory. Every contract is a
+and chaos-tested fault points, deterministic core paths. Every contract is a
 :class:`Rule`; every breach is a :class:`Finding`.
 
 Findings carry a *fingerprint* that deliberately excludes the line

@@ -11,8 +11,6 @@ from repro.analysis.rules import (  # noqa: F401  - import for registration
     determinism,
     fault_points,
     parity,
-    shm_lifecycle,
-    spawn_safety,
 )
 
 __all__ = [
@@ -20,6 +18,4 @@ __all__ = [
     "determinism",
     "fault_points",
     "parity",
-    "shm_lifecycle",
-    "spawn_safety",
 ]

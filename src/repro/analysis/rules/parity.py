@@ -2,10 +2,10 @@
 
 Every performance path in this repo earned its keep by reproducing a
 retained reference byte-for-byte: ``pipeline="rebuild"``,
-``drain="sequential"``, ``suggest="scalar"``, ``learner="exact"``,
-``shards=0``. Those references only stay honest while tests keep
-*pinning* them — constructing a run with the reference value and
-comparing it against the optimised default. If the last test naming a
+``drain="sequential"``, ``suggest="scalar"``, ``learner="exact"``.
+Those references only stay honest while tests keep *pinning* them —
+constructing a run with the reference value and comparing it against
+the optimised default. If the last test naming a
 reference value disappears (or the knob itself is dropped from
 ``GDRConfig``), the byte-identity contract is unenforced and future
 divergence lands silently. This rule fails the lint run in both cases.
@@ -35,7 +35,6 @@ REFERENCE_KNOBS: dict[str, object] = {
     "drain": "sequential",
     "suggest": "scalar",
     "learner": "exact",
-    "shards": 0,
 }
 
 
@@ -56,8 +55,6 @@ def config_fields(tree: ast.Module) -> set[str] | None:
 
 
 def _matches(value: object, reference: object) -> bool:
-    if isinstance(reference, bool) or isinstance(value, bool):
-        return value is reference
     return type(value) is type(reference) and value == reference
 
 

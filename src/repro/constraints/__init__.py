@@ -8,7 +8,6 @@ from repro.constraints.discovery import (
     mine_constant_cfds,
 )
 from repro.constraints.explain import RuleViolation, TupleExplanation, explain_tuple
-from repro.constraints.ind import IND, check_ind
 from repro.constraints.parser import (
     format_cfd,
     load_rules,
@@ -24,7 +23,6 @@ __all__ = [
     "ANY",
     "CFD",
     "DirtyDelta",
-    "IND",
     "PatternTuple",
     "RuleSet",
     "RuleViolation",
@@ -32,7 +30,6 @@ __all__ = [
     "ViolationDetector",
     "WhatIfOutcome",
     "Wildcard",
-    "check_ind",
     "discover_rules",
     "discover_variable_cfds",
     "explain_tuple",

@@ -1549,11 +1549,8 @@ class ViolationDetector:
         """Batched :meth:`what_if_moved_many` over many cells.
 
         *cells* is a sequence of ``(tid, attribute, values)`` probes;
-        the result list is aligned with it. This is the serial
-        reference implementation of the bulk probe entry point — the
-        sharded engine (``core/parallel.py``) overrides it with a
-        partition-parallel dispatch that is parity-tested against this
-        exact loop.
+        the result list is aligned with it, so a caller scoring many
+        cells makes one call instead of one per cell.
         """
         return [
             self.what_if_moved_many(tid, attribute, values)

@@ -39,7 +39,6 @@ from repro.core.session import (
     predict_many_snapshot,
 )
 from repro.core.user import UserOracle
-from repro.core.parallel import ShardedViolationEngine
 from repro.core.voi import GroupBenefitCache, VOIEstimator
 from repro.db.database import Database
 from repro.db.journal import FeedbackJournal, ReplayOracle
@@ -127,17 +126,6 @@ class GDRConfig:
         reference, which the histogram path reproduces bit for bit
         (same models, predictions and repair trajectories — tested
         across presets and datasets).
-    shards:
-        ``0`` (default) keeps the single-process reference violation
-        path. ``N >= 1`` fronts the detector with the sharded violation
-        engine (``core/parallel.py``): tuples are hash-partitioned by
-        the CFD shard key into ``N`` shards, worker processes map the
-        code matrix zero-copy through shared memory, and the bulk
-        what-if / detect entry points run partition-parallel. The
-        sharded path reproduces the ``shards=0`` ``GDRResult``
-        byte-for-byte (tested across presets and datasets); incremental
-        maintenance, journal, guard and checkpoint machinery stay on
-        the coordinator unchanged.
     sim_cache_capacity:
         Entry bound for the engine-owned Eq. 7 similarity cache (the
         code-space pair memo shared by the generator and the learner's
@@ -192,7 +180,6 @@ class GDRConfig:
     voi_cache_capacity: int = 1 << 20
     suggest: str = "batched"
     learner: str = "hist"
-    shards: int = 0
     sim_cache_capacity: int = 1 << 20
     guard: bool = False
     guard_interval: int = 4
@@ -221,8 +208,6 @@ class GDRConfig:
             raise ConfigError(f"suggest must be one of {_SUGGESTS}, got {self.suggest!r}")
         if self.learner not in _LEARNERS:
             raise ConfigError(f"learner must be one of {_LEARNERS}, got {self.learner!r}")
-        if not isinstance(self.shards, int) or self.shards < 0:
-            raise ConfigError(f"shards must be a non-negative int, got {self.shards!r}")
         if self.sim_cache_capacity < 1:
             raise ConfigError(
                 f"sim_cache_capacity must be positive, got {self.sim_cache_capacity!r}"
@@ -362,15 +347,6 @@ class GDREngine:
         self.initial_db = db.snapshot()
 
         self.detector = ViolationDetector(db, rules)
-        # shards > 0 fronts the detector with the partition-parallel
-        # engine; every bulk consumer below receives the front (it
-        # delegates everything it does not parallelise), shards=0 keeps
-        # the single-process reference wiring byte-identical
-        self.sharding = (
-            ShardedViolationEngine(self.detector, self.config.shards)
-            if self.config.shards > 0
-            else None
-        )
         self.state = RepairState()
         # engine-owned Eq. 7 cache: one code-space memo shared by the
         # suggestion engine and the learner's feature encoder — no
@@ -398,7 +374,7 @@ class GDREngine:
                 seed=self.config.seed,
                 kind=self.config.learner,
             )
-        self.voi = VOIEstimator(self.sharding or self.detector)
+        self.voi = VOIEstimator(self.detector)
         self.strategy = self._build_strategy()
         self.policy = EffortPolicy(
             batch_size=self.config.batch_size,
@@ -486,8 +462,6 @@ class GDREngine:
         compare configurations — so discarded engines stop receiving
         write and state events.
         """
-        if self.sharding is not None:
-            self.sharding.detach()
         self.detector.detach()
         self.manager.detach()
         self.generator.detach()
@@ -503,7 +477,7 @@ class GDREngine:
     # ------------------------------------------------------------------
     # durability: checkpoint / restore / resume
     # ------------------------------------------------------------------
-    _CHECKPOINT_FORMAT = 1
+    _CHECKPOINT_FORMAT = 2
 
     def checkpoint(self, path: str | Path) -> None:
         """Serialise the full session state to *path*, atomically.
@@ -653,8 +627,6 @@ class GDREngine:
         keys mirror the component names (``sim`` →
         ``SimilarityCache.stats``, ``cache`` →
         ``GroupBenefitCache.stats``, ``voi`` → term-memo occupancy,
-        ``shards`` → sharded-engine pool size, dispatch/build/merge
-        timings and respawn counters (empty when ``shards=0``),
         ``guard`` → tick/audit/incident counters plus the structured
         incident records, ``journal`` → path and sequence, ``faults`` →
         the registered fault points (from the machine-readable
@@ -666,7 +638,6 @@ class GDREngine:
             "sim": dict(self.sim_cache.stats),
             "cache": dict(self.benefit_cache.stats) if self.benefit_cache is not None else {},
             "voi": {"term_memo_size": self.voi.term_memo_size},
-            "shards": self.sharding.health_info() if self.sharding is not None else {},
             "guard": dict(self.guard.stats) if self.guard is not None else {},
             "journal": (
                 {"path": str(self.journal.path), "seq": self.journal.seq}

@@ -235,31 +235,17 @@ class VOIEstimator:
             miss_by_cell.setdefault(update.cell, []).append(i)
         # pass 2: one sparse probe per missed cell — all of a cell's
         # candidate values share the probe's per-cell setup, exactly
-        # like the dense path's per-cell what_if_many batching.
-        # Providers exposing the bulk entry point (the detector's serial
-        # loop, or the sharded engine's partition-parallel dispatch) get
-        # every missed cell in one call.
-        cell_items = list(miss_by_cell.items())
-        moved_many_cells = getattr(self._stats, "what_if_moved_many_cells", None)
-        pair_rows = None
-        if moved_many_cells is not None and cell_items:
-            pair_rows = moved_many_cells(
-                [
-                    (tid, attribute, [updates[i].value for i in indices])
-                    for (tid, attribute), indices in cell_items
-                ]
+        # like the dense path's per-cell what_if_many batching. Each
+        # cell's outcomes become terms before the next cell is probed,
+        # so only one cell's outcome pairs are alive at a time.
+        for (tid, attribute), indices in miss_by_cell.items():
+            rows = self._term_rows(
+                moved_many,
+                tid,
+                attribute,
+                [updates[i].value for i in indices],
+                weights_get,
             )
-        for j, ((tid, attribute), indices) in enumerate(cell_items):
-            if pair_rows is not None:
-                rows = self._terms_from_pairs(pair_rows[j], weights_get)
-            else:
-                rows = self._term_rows(
-                    moved_many,
-                    tid,
-                    attribute,
-                    [updates[i].value for i in indices],
-                    weights_get,
-                )
             for i, terms in zip(indices, rows):
                 terms_of[i] = terms
                 memo_key = memo_keys[i]
@@ -289,17 +275,8 @@ class VOIEstimator:
         Rules with zero weight are dropped exactly where the dense loop
         ``continue``s; term order matches the outcome-map rule order.
         """
-        return VOIEstimator._terms_from_pairs(
-            moved_many(tid, attribute, values), weights_get
-        )
-
-    @staticmethod
-    def _terms_from_pairs(
-        pair_rows, weights_get
-    ) -> list[list[tuple[float, int, int]]]:
-        """Convert per-candidate ``(rule, outcome)`` pairs into terms."""
         rows: list[list[tuple[float, int, int]]] = []
-        for pairs in pair_rows:
+        for pairs in moved_many(tid, attribute, values):
             terms: list[tuple[float, int, int]] = []
             for rule, outcome in pairs:
                 weight = weights_get(rule, 0.0)

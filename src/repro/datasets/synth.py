@@ -1,8 +1,8 @@
 """Deterministic scale-up of the benchmark datasets.
 
-The paper's datasets top out at ~23k tuples; exercising the sharded
-violation engine needs 10^5–10^6 rows with the *same* violation
-structure.  :func:`load_synth_dataset` replicates a seeded base
+The paper's datasets top out at ~23k tuples; the scale benchmarks need
+10^5–10^6 rows with the *same* violation structure.
+:func:`load_synth_dataset` replicates a seeded base
 instance block by block:
 
 * **hospital** — every replica block re-keys the attributes that feed
@@ -125,7 +125,7 @@ def load_synth_dataset(
     name:
         Base dataset (``"hospital"`` or ``"adult"``).
     n:
-        Target tuple count (10^5–10^6 for shard benchmarks).
+        Target tuple count (10^5–10^6 for the scale benchmarks).
     seed, dirty_rate, overrides:
         Forwarded to :func:`repro.datasets.load_dataset` for the base
         instance.

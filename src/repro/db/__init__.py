@@ -1,14 +1,14 @@
-"""In-memory relational substrate (schema, tuple store, indexes, audit log).
+"""In-memory relational substrate (schema, tuple store, columns, audit log).
 
 This package replaces the MySQL backend used in the paper with a pure
 Python tuple store that supports cell-level updates, listener hooks
-(the analogue of database triggers) and equality indexes.
+(the analogue of database triggers) and a dictionary-encoded columnar
+image.
 """
 
 from repro.db.changelog import CellChange, ChangeLog
 from repro.db.columnar import ColumnStore, Vocabulary
 from repro.db.database import Database, Row
-from repro.db.index import HashIndex
 from repro.db.io import load_csv, save_csv
 from repro.db.journal import FeedbackJournal, ReplayOracle
 from repro.db.schema import Schema
@@ -20,7 +20,6 @@ __all__ = [
     "ColumnStore",
     "Database",
     "FeedbackJournal",
-    "HashIndex",
     "ReplayOracle",
     "Row",
     "Schema",

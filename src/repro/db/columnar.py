@@ -125,10 +125,6 @@ class ColumnStore:
         self._tids = np.empty(_MIN_CAPACITY, dtype=np.int64)
         self._pos_of: dict[int, int] = {}
         self._size = 0
-        # optional (ncols, capacity) -> (matrix, tids) allocator; the
-        # shared-memory arena (db/shm.py) installs one so capacity
-        # doubling lands in a fresh shared segment (copy-on-grow)
-        self._reallocator = None
         for tid, values in sorted(items):
             self.append(tid, values)
 
@@ -138,11 +134,8 @@ class ColumnStore:
     def _grow(self) -> None:
         capacity = max(_MIN_CAPACITY, 2 * self._size)
         ncols = len(self.schema)
-        if self._reallocator is not None:
-            matrix, tids = self._reallocator(ncols, capacity)
-        else:
-            matrix = np.empty((ncols, capacity), dtype=np.int32)
-            tids = np.empty(capacity, dtype=np.int64)
+        matrix = np.empty((ncols, capacity), dtype=np.int32)
+        tids = np.empty(capacity, dtype=np.int64)
         matrix[:, : self._size] = self._matrix[:, : self._size]
         self._matrix = matrix
         tids[: self._size] = self._tids[: self._size]

@@ -119,7 +119,6 @@ class Database:
         self._write_hooks: list[WriteHook] = []
         self._change_seq = 0
         self._version = 0
-        self._structure_version = 0
         self._columns: ColumnStore | None = None
         if rows is not None:
             for row in rows:
@@ -136,17 +135,6 @@ class Database:
         generator's witness-lookup memo, for example).
         """
         return self._version
-
-    @property
-    def structure_version(self) -> int:
-        """Monotonic shape version: bumps only on insert/delete.
-
-        Cell writes notify listeners, but insertions and deletions do
-        not; consumers mirroring row *positions* (the sharded violation
-        engine's workers) compare this stamp to detect shape changes
-        that require a full rebuild rather than a delta.
-        """
-        return self._structure_version
 
     @property
     def columns(self) -> ColumnStore:
@@ -207,7 +195,6 @@ class Database:
         self._next_tid += 1
         self._rows[tid] = values
         self._version += 1
-        self._structure_version += 1
         if self._columns is not None:
             self._columns.append(tid, values)
         return tid
@@ -235,7 +222,6 @@ class Database:
             raise UnknownTupleError(tid)
         del self._rows[tid]
         self._version += 1
-        self._structure_version += 1
         if self._columns is not None:
             self._columns.remove(tid)
 
@@ -356,8 +342,14 @@ class Database:
         return copy
 
     def export_rows(self) -> tuple[dict[int, list[object]], int]:
-        """Detached ``(rows by tid, next tid)`` copy, for checkpoints."""
-        return ({tid: list(values) for tid, values in self._rows.items()}, self._next_tid)
+        """The live ``(rows by tid, next tid)``, for checkpoints.
+
+        Not a copy: the caller must serialise or copy the rows before
+        the next write and must not mutate them. A checkpoint pickles
+        them at once, so copying first would only add a transient
+        second image of the instance to the session's peak memory.
+        """
+        return (self._rows, self._next_tid)
 
     @classmethod
     def from_rows(

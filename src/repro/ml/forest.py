@@ -24,6 +24,10 @@ from repro.ml.tree import (
 
 __all__ = ["HistogramForestClassifier", "RandomForestClassifier"]
 
+#: Rows per committee walk in ``vote_fractions``; larger batches are
+#: walked chunk by chunk, which caps the walk's peak memory.
+_VOTE_CHUNK_ROWS = 256
+
 
 class _TreeState:
     """Growth state of one committee member inside the batched grower."""
@@ -557,6 +561,15 @@ class HistogramForestClassifier(RandomForestClassifier):
             raise NotFittedError("RandomForestClassifier used before fit")
         X = np.asarray(X, dtype=np.float64)
         n = X.shape[0]
+        if n > _VOTE_CHUNK_ROWS:
+            # rows are independent: walking them in chunks bounds the
+            # (T, n) index arrays each descent level allocates
+            return np.concatenate(
+                [
+                    self.vote_fractions(X[i : i + _VOTE_CHUNK_ROWS])
+                    for i in range(0, n, _VOTE_CHUNK_ROWS)
+                ]
+            )
         n_trees = len(self._trees)
         states = np.repeat(self._arena_roots[:, None], n, axis=1)  # (T, n)
         rows = np.broadcast_to(np.arange(n)[None, :], (n_trees, n))

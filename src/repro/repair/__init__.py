@@ -6,7 +6,6 @@ from repro.repair.feedback import Feedback, UserFeedback
 from repro.repair.generator import UpdateGenerator
 from repro.repair.heuristic import HeuristicRepairResult, batch_repair
 from repro.repair.similarity import (
-    EditDistanceSimilarity,
     SimilarityCache,
     SimilarityFunction,
     best_candidate,
@@ -22,7 +21,6 @@ __all__ = [
     "AppliedFeedback",
     "CandidateUpdate",
     "ConsistencyManager",
-    "EditDistanceSimilarity",
     "EventKind",
     "Feedback",
     "HeuristicRepairResult",

@@ -34,7 +34,6 @@ from collections.abc import Callable, Sequence
 import numpy as np
 
 __all__ = [
-    "EditDistanceSimilarity",
     "SimilarityCache",
     "SimilarityFunction",
     "best_candidate",
@@ -386,24 +385,3 @@ def token_jaccard(original: object, suggested: object) -> float:
     if not union:
         return 1.0
     return len(tokens_a & tokens_b) / len(union)
-
-
-class EditDistanceSimilarity:
-    """The default Eq. 7 evaluation function as a reusable object.
-
-    Parameters
-    ----------
-    case_sensitive:
-        When False, values are lower-cased before comparison.
-    """
-
-    def __init__(self, case_sensitive: bool = True) -> None:
-        self.case_sensitive = case_sensitive
-
-    def __call__(self, original: object, suggested: object) -> float:
-        if self.case_sensitive:
-            return similarity(original, suggested)
-        return similarity(str(original).lower(), str(suggested).lower())
-
-    def __repr__(self) -> str:
-        return f"EditDistanceSimilarity(case_sensitive={self.case_sensitive})"

@@ -91,11 +91,6 @@ FAULT_POINT_REGISTRY: tuple[FaultPoint, ...] = (
         "before an attribute committee refit mutates state",
         "repro.core.learner",
     ),
-    FaultPoint(
-        "shard.dispatch",
-        "before a message is sent to a shard worker",
-        "repro.core.parallel",
-    ),
 )
 
 #: Point names, registry order (kept for existing callers/tests).

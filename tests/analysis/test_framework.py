@@ -36,14 +36,12 @@ class TestFingerprint:
 
 
 class TestRegistry:
-    def test_all_six_rules_registered(self):
+    def test_all_four_rules_registered(self):
         assert set(RULES) == {
             "determinism",
             "cache-discipline",
             "fault-registry",
             "parity-coverage",
-            "spawn-safety",
-            "shm-lifecycle",
         }
 
     def test_register_rejects_missing_id(self):
@@ -73,13 +71,13 @@ class TestSuppressions:
         )
         assert sup.suppresses(_finding(line=1))
         assert sup.suppresses(_finding(line=1, rule="cache-discipline"))
-        assert not sup.suppresses(_finding(line=1, rule="spawn-safety"))
+        assert not sup.suppresses(_finding(line=1, rule="fault-registry"))
 
     def test_file_wide_and_all(self):
         sup = Suppressions.parse("# repolint: disable-file=determinism\n")
         assert sup.suppresses(_finding(line=77))
         sup = Suppressions.parse("f()  # repolint: disable=all\n")
-        assert sup.suppresses(_finding(line=1, rule="shm-lifecycle"))
+        assert sup.suppresses(_finding(line=1, rule="parity-coverage"))
 
     def test_run_rules_drops_suppressed(self, tmp_path):
         bad = "import time\n\n\ndef f():\n    return time.time()  # repolint: disable=determinism\n"
@@ -89,7 +87,7 @@ class TestSuppressions:
 
 class TestBaseline:
     def test_round_trip(self, tmp_path):
-        findings = [_finding(), _finding(rule="spawn-safety", message="lambda")]
+        findings = [_finding(), _finding(rule="cache-discipline", message="unbounded")]
         path = tmp_path / "baseline.json"
         Baseline.from_findings(findings).save(path)
         loaded = Baseline.load(path)

@@ -94,7 +94,7 @@ class TestRealRepo:
         from repro.analysis.project import Project, run_rules
 
         original = (repo_root / FAULTS_REL).read_text(encoding="utf-8")
-        start = original.index('    FaultPoint(\n        "shard.dispatch"')
+        start = original.index('    FaultPoint(\n        "learner.refit"')
         end = original.index("),", start) + len("),\n")
         edited = original[:start] + original[end:]
         assert edited != original
@@ -102,6 +102,6 @@ class TestRealRepo:
         findings = run_rules(project, [RULES["fault-registry"]])
         assert findings, "removing a registry entry must produce findings"
         assert any(
-            "shard.dispatch" in f.message and "unregistered" in f.message
+            "learner.refit" in f.message and "unregistered" in f.message
             for f in findings
         )

@@ -13,7 +13,6 @@ GDR_CONFIG = textwrap.dedent(
         drain: str = "batched"
         suggest: str = "kernel"
         learner: str = "hashed"
-        shards: int = 0
         seed: int = 0
     """
 )
@@ -35,9 +34,6 @@ PINNING_TESTS = textwrap.dedent(
     def test_learner_parity():
         run(GDRConfig(learner="exact"))
 
-
-    def test_shards_parity():
-        run(GDRConfig(shards=0))
     """
 )
 
@@ -68,20 +64,11 @@ class TestPositive:
     def test_wrong_reference_value_does_not_count(self, lint):
         files = _tree()
         files["tests/core/test_parity.py"] = PINNING_TESTS.replace(
-            'run(GDRConfig(shards=0))', "run(GDRConfig(shards=2))"
+            'run(GDRConfig(learner="exact"))', 'run(GDRConfig(learner="hist"))'
         )
         findings = lint(files, "parity-coverage")
         assert len(findings) == 1
-        assert findings[0].symbol == "shards"
-
-    def test_bool_false_does_not_pin_shards_zero(self, lint):
-        # 0 == False, but shards=False is not the reference spelling
-        files = _tree()
-        files["tests/core/test_parity.py"] = PINNING_TESTS.replace(
-            "run(GDRConfig(shards=0))", "run(GDRConfig(shards=False))"
-        )
-        findings = lint(files, "parity-coverage")
-        assert [f.symbol for f in findings] == ["shards"]
+        assert findings[0].symbol == "learner"
 
     def test_missing_config_module(self, lint):
         findings = lint(

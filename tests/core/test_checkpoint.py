@@ -1,6 +1,7 @@
 """Tests for GDREngine.checkpoint / restore / resume (durable sessions)."""
 
 import pickle
+from dataclasses import asdict
 
 import pytest
 
@@ -169,6 +170,35 @@ class TestRestoreErrors:
         engine = make_engine(figure1_dirty, figure1_clean, figure1_rules, tmp_path)
         with pytest.raises(ConfigError, match="restore"):
             engine.resume()
+
+
+class TestOldSessionFiles:
+    """Session files written before the ``shards`` knob was removed."""
+
+    def test_format_1_checkpoint_fails_with_config_error(
+        self, figure1_dirty, figure1_clean, figure1_rules, tmp_path
+    ):
+        engine = make_engine(figure1_dirty, figure1_clean, figure1_rules, tmp_path)
+        cp = tmp_path / "session.cp"
+        engine.checkpoint(cp)
+        engine.detach()
+        payload = pickle.loads(cp.read_bytes())
+        payload["format"] = 1
+        payload["config"]["shards"] = 0
+        cp.write_bytes(pickle.dumps(payload))
+        with pytest.raises(ConfigError, match="has format 1, expected 2"):
+            GDREngine.restore(
+                cp, figure1_rules, GroundTruthOracle(figure1_clean), figure1_clean
+            )
+
+    def test_old_journal_names_the_removed_knob(self, figure1_dirty, tmp_path):
+        config = asdict(GDRConfig.no_learning())
+        path = tmp_path / "journal.jsonl"
+        journal = FeedbackJournal(path)
+        journal.log_meta(figure1_dirty, {**config, "shards": 0})
+        journal.close()
+        with pytest.raises(JournalError, match="different config: shards differ"):
+            FeedbackJournal.verify_meta(path, figure1_dirty, config)
 
 
 class TestHealth:

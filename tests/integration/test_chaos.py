@@ -21,15 +21,8 @@ from repro.testing import SessionKilled, arm, fault_scope
 
 pytestmark = pytest.mark.chaos
 
-#: preset -> (kill point, 1-based hit index) for the kill-restore matrix.
-#: Learner presets die at the top of the first drain pass (guaranteed to
-#: be reached); the learner-free preset dies mid-interactive-loop.
-KILL_SCHEDULE = {
-    "gdr": ("engine.drain_pass", 1),
-    "s_learning": ("engine.drain_pass", 1),
-    "active_learning": ("engine.drain_pass", 1),
-    "no_learning": ("engine.iteration", 4),
-}
+#: Presets of the kill-restore matrix.
+KILL_PRESETS = ("active_learning", "gdr", "no_learning", "s_learning")
 
 FEEDBACK_LIMIT = 25
 
@@ -66,6 +59,18 @@ def run_clean(ds, preset: str):
     return db, result
 
 
+def arm_kill(preset: str, kill) -> None:
+    """Arm *kill* where the kill-restore run of *preset* dies.
+
+    Learner presets die at the top of the first drain pass (guaranteed to
+    be reached); the learner-free preset dies mid-interactive-loop.
+    """
+    if preset == "no_learning":
+        arm("engine.iteration", action=kill, at=4)
+    else:
+        arm("engine.drain_pass", action=kill, at=1)
+
+
 def make_durable_engine(ds, preset: str, tmp_path, **overrides):
     config = getattr(GDRConfig, preset)(
         journal_path=str(tmp_path / "journal.jsonl"),
@@ -85,7 +90,7 @@ def make_durable_engine(ds, preset: str, tmp_path, **overrides):
 
 class TestKillAndRestore:
     @pytest.mark.parametrize("dataset_name", ["hospital", "adult"])
-    @pytest.mark.parametrize("preset", sorted(KILL_SCHEDULE))
+    @pytest.mark.parametrize("preset", KILL_PRESETS)
     def test_killed_session_resumes_to_identical_end_state(
         self, preset, dataset_name, chaos_datasets, tmp_path
     ):
@@ -93,13 +98,12 @@ class TestKillAndRestore:
         clean_db, clean_result = run_clean(ds, preset)
 
         engine = make_durable_engine(ds, preset, tmp_path)
-        point, at = KILL_SCHEDULE[preset]
 
         def kill(ctx):
             raise SessionKilled(f"injected kill at {ctx['point']} hit {ctx['hit']}")
 
         with fault_scope():
-            arm(point, action=kill, at=at)
+            arm_kill(preset, kill)
             with pytest.raises(SessionKilled):
                 engine.run(feedback_limit=FEEDBACK_LIMIT)
         engine.detach()
@@ -254,74 +258,3 @@ class TestJournalFailures:
         assert result.feedback_used == clean_result.feedback_used
         assert result.remaining_dirty == clean_result.remaining_dirty
 
-
-class TestShardWorkerDeath:
-    """Kill shard workers mid-session; the pool must respawn them and
-    the session must end byte-identical to the serial reference."""
-
-    def _run_sharded(self, ds, preset, kill_at=None):
-        db = ds.fresh_dirty()
-        config = getattr(GDRConfig, preset)(seed=3, shards=2)
-        engine = GDREngine(
-            db, ds.rules, GroundTruthOracle(ds.clean), config, clean_db=ds.clean
-        )
-
-        def kill_worker(ctx):
-            ctx["pool"].kill_worker(ctx["shard"])
-
-        with fault_scope():
-            if kill_at is not None:
-                for at in kill_at:
-                    arm("shard.dispatch", action=kill_worker, at=at)
-            result = engine.run(feedback_limit=FEEDBACK_LIMIT)
-        health = engine.health()
-        engine.detach()
-        return db, result, health
-
-    def test_worker_death_respawns_and_matches(self, chaos_datasets):
-        ds = chaos_datasets["hospital"]
-        undisturbed_db, undisturbed, __ = self._run_sharded(ds, "gdr")
-        killed_db, killed, health = self._run_sharded(ds, "gdr", kill_at=(1, 5))
-        assert killed_db.equals_data(undisturbed_db)
-        assert killed.feedback_used == undisturbed.feedback_used
-        assert killed.final_loss == undisturbed.final_loss
-        assert [
-            (p.feedback, p.loss) for p in killed.trajectory
-        ] == [(p.feedback, p.loss) for p in undisturbed.trajectory]
-        assert health["shards"]["pool_respawns"] >= 1
-        dump_chaos_log("shard_worker_death", health)
-
-    def test_killed_sharded_session_restores_identically(
-        self, chaos_datasets, tmp_path
-    ):
-        # process kill on top of a worker kill: the restored session
-        # must rebuild its own pool and converge on the serial end state
-        ds = chaos_datasets["hospital"]
-        clean_db, clean_result = run_clean(ds, "gdr")
-
-        engine = make_durable_engine(ds, "gdr", tmp_path, shards=2)
-
-        def kill_worker(ctx):
-            ctx["pool"].kill_worker(ctx["shard"])
-
-        def kill(ctx):
-            raise SessionKilled("injected kill mid-drain")
-
-        with fault_scope():
-            arm("shard.dispatch", action=kill_worker, at=1)
-            arm("engine.drain_pass", action=kill, at=1)
-            with pytest.raises(SessionKilled):
-                engine.run(feedback_limit=FEEDBACK_LIMIT)
-        engine.detach()
-
-        restored = GDREngine.restore(
-            tmp_path / "session.cp", ds.rules, GroundTruthOracle(ds.clean), ds.clean
-        )
-        assert restored.config.shards == 2
-        result = restored.resume()
-        dump_chaos_log("shard_kill_restore", restored.health())
-        restored.detach()
-        assert restored.db.equals_data(clean_db)
-        assert result.feedback_used == clean_result.feedback_used
-        assert result.remaining_dirty == clean_result.remaining_dirty
-        assert result.improvement == pytest.approx(clean_result.improvement)

@@ -119,6 +119,8 @@ class TestForestParity:
         X = random_matrix(rng, n, m, 1)
         y = rng.integers(0, C, size=n)
         Xq = random_matrix(rng, 40, m, 1)
+        # more rows than one vote_fractions chunk: walked chunk by chunk
+        Xbig = random_matrix(rng, 600, m, 1)
         exact = RandomForestClassifier(
             n_estimators=10, max_depth=12, random_state=seed
         ).fit(X, y, n_classes=C)
@@ -129,6 +131,7 @@ class TestForestParity:
             assert_trees_identical(ta, tb)
         assert np.array_equal(exact.vote_fractions(X), hist.vote_fractions(X))
         assert np.array_equal(exact.vote_fractions(Xq), hist.vote_fractions(Xq))
+        assert np.array_equal(exact.vote_fractions(Xbig), hist.vote_fractions(Xbig))
         assert np.array_equal(exact.predict(Xq), hist.predict(Xq))
         assert np.array_equal(exact.feature_importances_, hist.feature_importances_)
         assert np.array_equal(exact.uncertainty(Xq), hist.uncertainty(Xq))

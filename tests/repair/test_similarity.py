@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.db.columnar import ColumnStore
 from repro.db.schema import Schema
 from repro.repair import (
-    EditDistanceSimilarity,
     SimilarityCache,
     levenshtein,
     levenshtein_many,
@@ -231,19 +230,6 @@ class TestTokenJaccard:
     @given(a=TEXT, b=TEXT)
     def test_bounded(self, a, b):
         assert 0.0 <= token_jaccard(a, b) <= 1.0
-
-
-class TestEditDistanceSimilarity:
-    def test_case_sensitive_default(self):
-        sim = EditDistanceSimilarity()
-        assert sim("IN", "in") < 1.0
-
-    def test_case_insensitive(self):
-        sim = EditDistanceSimilarity(case_sensitive=False)
-        assert sim("IN", "in") == 1.0
-
-    def test_repr(self):
-        assert "case_sensitive" in repr(EditDistanceSimilarity())
 
 
 class TestCandidateSelection:
