@@ -185,63 +185,72 @@ class DirtyDelta:
 class _DirtyTracker:
     """Ordered incremental view of the dirty-tuple set.
 
-    Counts, per tuple, how many rule states currently mark it violating
-    and keeps the tuples with a positive count in a sorted list — the
-    generator and the consistency manager iterate dirty tuples in tid
-    order on every refresh, and this view replaces their per-call
-    ``sorted(...)`` over the whole dirty set. Status flips are fanned
-    out to registered :class:`DirtyDelta` cursors.
+    Keeps, per tuple, a bitmask of the rule states currently marking it
+    violating (bit ``i`` is the detector's ``i``-th state) and the
+    tuples with a nonzero mask in a sorted list — the generator and the
+    consistency manager iterate dirty tuples in tid order on every
+    refresh, and this view replaces their per-call ``sorted(...)`` over
+    the whole dirty set. The masks double as the per-tuple violated-rule
+    index: reading a tuple's rules walks its set bits in state order
+    instead of probing every rule state. Status flips are fanned out to
+    registered :class:`DirtyDelta` cursors.
     """
 
-    __slots__ = ("_counts", "_ordered", "_sinks")
+    __slots__ = ("_masks", "_ordered", "_sinks")
 
     def __init__(self) -> None:
-        self._counts: dict[int, int] = {}
+        self._masks: dict[int, int] = {}
         self._ordered: list[int] = []
         self._sinks: list[DirtyDelta] = []
 
     def add_sink(self, sink: DirtyDelta) -> None:
         self._sinks.append(sink)
 
-    def increment(self, tid: int) -> None:
-        count = self._counts.get(tid, 0)
-        self._counts[tid] = count + 1
-        if count == 0:
+    def increment(self, tid: int, bit: int) -> None:
+        mask = self._masks.get(tid, 0)
+        self._masks[tid] = mask | bit
+        if mask == 0:
             insort(self._ordered, tid)
             for sink in self._sinks:
                 sink._touched.add(tid)
 
-    def decrement(self, tid: int) -> None:
-        count = self._counts[tid] - 1
-        if count == 0:
-            del self._counts[tid]
+    def decrement(self, tid: int, bit: int) -> None:
+        mask = self._masks[tid] & ~bit
+        if mask == 0:
+            del self._masks[tid]
             del self._ordered[bisect_left(self._ordered, tid)]
             for sink in self._sinks:
                 sink._touched.add(tid)
         else:
-            self._counts[tid] = count
+            self._masks[tid] = mask
 
     def rebuild(self, states) -> None:
-        counts: dict[int, int] = {}
+        masks: dict[int, int] = {}
+        get = masks.get
         for state in states:
+            bit = state.bit
             for tid in state.violating:
-                counts[tid] = counts.get(tid, 0) + 1
-        self._counts = counts
-        self._ordered = sorted(counts)
+                masks[tid] = get(tid, 0) | bit
+        self._masks = masks
+        self._ordered = sorted(masks)
         for sink in self._sinks:
             sink._full = True
 
+    def mask(self, tid: int) -> int:
+        """Bitmask of the states marking *tid* violating (0 when clean)."""
+        return self._masks.get(tid, 0)
+
     def contains(self, tid: int) -> bool:
-        return tid in self._counts
+        return tid in self._masks
 
     def as_set(self) -> set[int]:
-        return set(self._counts)
+        return set(self._masks)
 
     def ordered(self) -> tuple[int, ...]:
         return tuple(self._ordered)
 
     def __len__(self) -> int:
-        return len(self._counts)
+        return len(self._masks)
 
 
 class _ConstantRuleState:
@@ -249,6 +258,7 @@ class _ConstantRuleState:
 
     __slots__ = (
         "rule",
+        "bit",
         "_tracker",
         "_lhs_pos",
         "_rhs_pos",
@@ -258,8 +268,10 @@ class _ConstantRuleState:
         "violating",
     )
 
-    def __init__(self, rule: CFD, db: Database, tracker: _DirtyTracker) -> None:
+    def __init__(self, rule: CFD, db: Database, tracker: _DirtyTracker, bit: int) -> None:
         self.rule = rule
+        # this state's bit in the tracker's per-tuple violated-state masks
+        self.bit = bit
         self._tracker = tracker
         schema = db.schema
         self._lhs_pos = schema.positions(rule.lhs)
@@ -284,12 +296,12 @@ class _ConstantRuleState:
     def _mark(self, tid: int) -> None:
         if tid not in self.violating:
             self.violating.add(tid)
-            self._tracker.increment(tid)
+            self._tracker.increment(tid, self.bit)
 
     def _unmark(self, tid: int) -> None:
         if tid in self.violating:
             self.violating.remove(tid)
-            self._tracker.decrement(tid)
+            self._tracker.decrement(tid, self.bit)
 
     def update_cell(self, tid: int, values) -> bool:
         """Re-evaluate tuple *tid* whose values are now *values*.
@@ -751,26 +763,54 @@ class _Group:
         return tids
 
 
+class _PartitionClock:
+    """Detector-wide tick stamping variable-rule partition movements."""
+
+    __slots__ = ("tick",)
+
+    def __init__(self) -> None:
+        self.tick = 0
+
+
 class _VariableRuleState:
-    """Violation bookkeeping for one variable CFD."""
+    """Violation bookkeeping for one variable CFD.
+
+    ``part_versions`` maps a partition key to the :class:`_PartitionClock`
+    tick of its last incremental change (absent: unchanged since the
+    last full build). A cached what-if outcome that read a partition is
+    current exactly while the partition's version is no newer than the
+    tick the outcome was computed at.
+    """
 
     __slots__ = (
         "rule",
+        "bit",
         "_tracker",
+        "_clock",
         "_lhs_pos",
         "_rhs_pos",
         "_lhs_consts",
         "_key_idx_of",
         "groups",
         "membership",
+        "part_versions",
         "total_vio",
         "violating",
         "context_size",
     )
 
-    def __init__(self, rule: CFD, db: Database, tracker: _DirtyTracker) -> None:
+    def __init__(
+        self,
+        rule: CFD,
+        db: Database,
+        tracker: _DirtyTracker,
+        bit: int,
+        clock: _PartitionClock,
+    ) -> None:
         self.rule = rule
+        self.bit = bit
         self._tracker = tracker
+        self._clock = clock
         schema = db.schema
         self._lhs_pos = schema.positions(rule.lhs)
         self._rhs_pos = schema.position(rule.rhs)
@@ -780,6 +820,7 @@ class _VariableRuleState:
         self._key_idx_of = {p: i for i, p in enumerate(self._lhs_pos)}
         self.groups: dict[tuple[object, ...], _Group] = {}
         self.membership: dict[int, tuple[tuple[object, ...], object]] = {}
+        self.part_versions: dict[tuple[object, ...], int] = {}
         self.total_vio = 0
         self.violating: set[int] = set()
         self.context_size = 0
@@ -787,6 +828,7 @@ class _VariableRuleState:
     def reset(self) -> None:
         self.groups.clear()
         self.membership.clear()
+        self.part_versions.clear()
         self.violating.clear()
         self.total_vio = 0
         self.context_size = 0
@@ -803,16 +845,22 @@ class _VariableRuleState:
     def _mark(self, tid: int) -> None:
         if tid not in self.violating:
             self.violating.add(tid)
-            self._tracker.increment(tid)
+            self._tracker.increment(tid, self.bit)
 
     def _unmark(self, tid: int) -> None:
         if tid in self.violating:
             self.violating.remove(tid)
-            self._tracker.decrement(tid)
+            self._tracker.decrement(tid, self.bit)
 
     # -- incremental core ------------------------------------------------
+    def _touch(self, key: tuple[object, ...]) -> None:
+        clock = self._clock
+        clock.tick += 1
+        self.part_versions[key] = clock.tick
+
     def _remove(self, tid: int) -> None:
         key, value = self.membership.pop(tid)
+        self._touch(key)
         group = self.groups[key]
         size = group.size
         cv = group.count(value)
@@ -837,6 +885,7 @@ class _VariableRuleState:
         self.context_size -= 1
 
     def _add(self, tid: int, key: tuple[object, ...], value: object) -> None:
+        self._touch(key)
         group = self.groups.get(key)
         if group is None:
             group = self.groups[key] = _Group()
@@ -1021,13 +1070,17 @@ class _VariableRuleState:
         return set(self.groups[entry[0]].all_tids())
 
     # -- batched what-if ---------------------------------------------------
-    def what_if_many(self, tid: int, row, pos: int, current, candidates) -> list[WhatIfOutcome]:
+    def what_if_many(
+        self, tid: int, row, pos: int, current, candidates, reads: list | None = None
+    ) -> list[WhatIfOutcome]:
         """Outcomes of hypothetically writing each candidate into the cell.
 
         The tuple's removal from its current partition is computed once;
         every candidate is then an O(1) read of the partition statistics
         ("one pass over partition stats" — no apply/revert cycles, no
-        state mutation).
+        state mutation). With a *reads* list, one tuple per candidate is
+        appended naming the partition keys its outcome's
+        ``vio_reduction`` and satisfying-count delta depend on.
         """
         vio_before = self.total_vio
         viol_count = len(self.violating)
@@ -1071,6 +1124,7 @@ class _VariableRuleState:
         is_rhs = pos == self._rhs_pos
         rhs_current = row[self._rhs_pos]
 
+        lifted = (key0,) if entry is not None else ()
         outcomes = []
         for value in candidates:
             if value == current:
@@ -1079,15 +1133,21 @@ class _VariableRuleState:
                         vio_before, vio_before, self.context_size - viol_count
                     )
                 outcomes.append(identity)
+                if reads is not None:
+                    reads.append(())
                 continue
             in_ctx = others_match and (pos_const is _ABSENT or value == pos_const)
             if not in_ctx:
                 outcomes.append(WhatIfOutcome(vio_before, base_vio, base_ctx - base_viol))
+                if reads is not None:
+                    reads.append(lifted)
                 continue
             if key_idx is None:
                 new_key = base_key
             else:
                 new_key = base_key[:key_idx] + (value,) + base_key[key_idx + 1 :]
+            if reads is not None:
+                reads.append(lifted if new_key == key0 else lifted + (new_key,))
             new_val = value if is_rhs else rhs_current
             if entry is not None and new_key == key0:
                 # re-entering the partition the tuple was lifted from
@@ -1147,6 +1207,10 @@ class ViolationDetector:
         # bumped on every statistics change; probe plans re-snapshot
         # their cached per-rule aggregates when it moves
         self._epoch = 0
+        # bumped by full rebuilds, inserts and deletes: the events after
+        # which no cached what-if outcome may be trusted
+        self._rebuild_epoch = 0
+        self._partition_clock = _PartitionClock()
         # per-rule statistics versions: a rule's version moves only when
         # its observable statistics actually changed (not merely when a
         # write re-evaluated it), the finest staleness granularity the
@@ -1177,12 +1241,14 @@ class ViolationDetector:
         self._sig_cache_hits = 0
         self._sig_cache_misses = 0
         self._sig_cache_clears = 0
-        for rule in rules:
+        for i, rule in enumerate(rules):
             state: _ConstantRuleState | _VariableRuleState
             if rule.is_constant:
-                state = _ConstantRuleState(rule, db, self._tracker)
+                state = _ConstantRuleState(rule, db, self._tracker, 1 << i)
             else:
-                state = _VariableRuleState(rule, db, self._tracker)
+                state = _VariableRuleState(
+                    rule, db, self._tracker, 1 << i, self._partition_clock
+                )
             self._states.append(state)
             self._state_by_rule[rule] = state
             for attr in rule.attributes:
@@ -1201,6 +1267,7 @@ class ViolationDetector:
         if build not in ("columnar", "reference"):
             raise ValueError(f"build must be 'columnar' or 'reference', got {build!r}")
         self._epoch += 1
+        self._rebuild_epoch += 1
         self._bump_all_versions()
         for state in self._states:
             state.reset()
@@ -1273,6 +1340,38 @@ class ViolationDetector:
         return self._epoch
 
     @property
+    def rebuild_epoch(self) -> int:
+        """Counter moved by :meth:`recompute`, :meth:`add_tuple` and
+        :meth:`remove_tuple` — after which every cached what-if outcome
+        is retired."""
+        return self._rebuild_epoch
+
+    @property
+    def partition_tick(self) -> int:
+        """Current variable-rule partition clock (see :meth:`partitions_moved`)."""
+        return self._partition_clock.tick
+
+    @staticmethod
+    def partitions_moved(reads, tick: int) -> bool:
+        """True when a partition in *reads* changed after clock *tick*.
+
+        *reads* is one candidate's entry of the ``reads`` list filled by
+        :meth:`what_if_moved_many`.
+        """
+        for versions, key in reads:
+            if versions.get(key, 0) > tick:
+                return True
+        return False
+
+    def rule_counts(self) -> tuple[list[CFD], np.ndarray, np.ndarray]:
+        """Every rule (in rule-set order) with its ``|D(φ)|`` and
+        ``|D ⊨ φ|`` as aligned ``int64`` arrays."""
+        states = self._states
+        context = np.fromiter((s.context_size for s in states), np.int64, len(states))
+        violating = np.fromiter((len(s.violating) for s in states), np.int64, len(states))
+        return [s.rule for s in states], context, context - violating
+
+    @property
     def stats(self) -> dict[str, int]:
         """Cache-health counters for the probe-signature cache."""
         return {
@@ -1328,6 +1427,7 @@ class ViolationDetector:
         GDR can suggest updates during data entry.
         """
         self._epoch += 1
+        self._rebuild_epoch += 1
         self._bump_all_versions()
         values = self.db.values_snapshot(tid)
         for state in self._states:
@@ -1336,6 +1436,7 @@ class ViolationDetector:
     def remove_tuple(self, tid: int) -> None:
         """Stop tracking a tuple that is about to be deleted."""
         self._epoch += 1
+        self._rebuild_epoch += 1
         self._bump_all_versions()
         self._sig_cache.pop(tid, None)
         for state in self._states:
@@ -1353,8 +1454,19 @@ class ViolationDetector:
         return self._tracker.contains(tid)
 
     def violated_rules(self, tid: int) -> list[CFD]:
-        """The tuple's ``vioRuleList``: all rules it currently violates."""
-        return [state.rule for state in self._states if state.is_violating(tid)]
+        """The tuple's ``vioRuleList``: all rules it currently violates.
+
+        Read off the tracker's per-tuple violated-state mask, in rule
+        order, without probing every rule state.
+        """
+        mask = self._tracker.mask(tid)
+        states = self._states
+        rules = []
+        while mask:
+            low = mask & -mask
+            rules.append(states[low.bit_length() - 1].rule)
+            mask ^= low
+        return rules
 
     def dirty_tuples(self) -> set[int]:
         """All tuples violating at least one rule (a copy)."""
@@ -1503,7 +1615,7 @@ class ViolationDetector:
         return results
 
     def what_if_moved_many(
-        self, tid: int, attribute: str, values
+        self, tid: int, attribute: str, values, reads: list | None = None
     ) -> list[list[tuple[CFD, WhatIfOutcome]]]:
         """Sparse batched Eq. 6 probe: only the rules that would move.
 
@@ -1516,10 +1628,19 @@ class ViolationDetector:
         this instead of materialising full outcome maps (on wide
         constant rule sets a single-cell probe moves two or three rules
         out of forty).
+
+        With a *reads* list, one entry per candidate is appended: the
+        ``(partition versions, partition key)`` pairs of every variable
+        rule partition the candidate's outcomes depend on (constant-rule
+        outcomes depend on the row's codes alone).
+        :meth:`partitions_moved` tells whether an outcome is still
+        current; :meth:`rebuild_epoch` retires all of them.
         """
         values = list(values)
         states = self._states_by_attr.get(attribute)
         if not states:
+            if reads is not None:
+                reads.extend(() for __ in values)
             return [[] for __ in values]
         pos = self.db.schema.position(attribute)
         plan, var_states, __, __, __ = self._plan_for(attribute, pos)
@@ -1532,17 +1653,28 @@ class ViolationDetector:
             ]
         else:
             results = [[] for __ in values]
-        if var_states:
-            # live row view, not a snapshot: the what-if arithmetic only
-            # reads positionally and never retains (or writes) the row
-            row = self.db.values_view(tid)
-            current = row[pos]
-            for state in var_states:
-                rule = state.rule
-                outcomes = state.what_if_many(tid, row, pos, current, values)
-                for ci, outcome in enumerate(outcomes):
-                    if outcome[3] != 0:  # vio_reduction
-                        results[ci].append((rule, outcome))
+        if not var_states:
+            if reads is not None:
+                reads.extend(() for __ in values)
+            return results
+        # live row view, not a snapshot: the what-if arithmetic only
+        # reads positionally and never retains (or writes) the row
+        row = self.db.values_view(tid)
+        current = row[pos]
+        candidate_reads = [[] for __ in values] if reads is not None else None
+        for state in var_states:
+            rule = state.rule
+            state_reads = [] if candidate_reads is not None else None
+            outcomes = state.what_if_many(tid, row, pos, current, values, state_reads)
+            for ci, outcome in enumerate(outcomes):
+                if outcome[3] != 0:  # vio_reduction
+                    results[ci].append((rule, outcome))
+            if candidate_reads is not None:
+                versions = state.part_versions
+                for out, keys in zip(candidate_reads, state_reads):
+                    out.extend((versions, key) for key in keys)
+        if reads is not None:
+            reads.extend(candidate_reads)
         return results
 
     def what_if_moved_many_cells(self, cells):
@@ -1591,6 +1723,25 @@ class ViolationDetector:
         signature = self.db.columns.gather_row(tid, probe_cols).tobytes()
         per_tid[attribute] = signature
         return signature
+
+    def probe_signatures(self, tids, attribute: str) -> list[bytes]:
+        """:meth:`probe_signature` of many tuples in one gather.
+
+        Bypasses the per-tuple signature cache: callers that keep what
+        they derive from signatures (the VOI key table) would otherwise
+        hold every signature twice.
+        """
+        if attribute not in self._states_by_attr:
+            return [b""] * len(tids)
+        __, __, __, __, probe_cols = self._plan_for(
+            attribute, self.db.schema.position(attribute)
+        )
+        cols = self.db.columns
+        block = np.ascontiguousarray(
+            cols.gather(probe_cols, [cols.position_of(tid) for tid in tids]).T
+        )
+        row = np.dtype((np.void, block.shape[1] * block.itemsize))
+        return block.view(row).ravel().tolist()
 
     def _plan_for(
         self, attribute: str, pos: int
@@ -1708,6 +1859,10 @@ class ViolationDetector:
         ordered = self.dirty_tuples_ordered()
         if list(ordered) != sorted(self.dirty_tuples()):
             return False
+        for tid in ordered:
+            scanned = [state.rule for state in self._states if state.is_violating(tid)]
+            if self.violated_rules(tid) != scanned:
+                return False
         union: set[int] = set()
         for state in self._states:
             union.update(state.violating)

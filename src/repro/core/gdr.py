@@ -32,12 +32,7 @@ from repro.core.learner import FeedbackLearner
 from repro.core.metrics import RepairReport, TrajectoryPoint, evaluate_repair
 from repro.core.quality import QualityEvaluator, quality_improvement
 from repro.core.ranking import GreedyRanking, RandomRanking, RankingStrategy, VOIRanking
-from repro.core.session import (
-    InteractiveSession,
-    decide_batched,
-    delegation_allowed,
-    predict_many_snapshot,
-)
+from repro.core.session import InteractiveSession, decide_batched, delegation_allowed
 from repro.core.user import UserOracle
 from repro.core.voi import GroupBenefitCache, VOIEstimator
 from repro.db.database import Database
@@ -107,8 +102,10 @@ class GDRConfig:
         datasets).
     voi_cache_capacity:
         Entry bound for the benefit cache's p̃ memo and row-version
-        map (LRU / generation eviction); the default comfortably holds
-        million-tuple instances while keeping memory bounded.
+        map (LRU / generation eviction) and for the estimator's
+        probe-key table (cleared before an overflowing insert); the
+        default comfortably holds million-tuple instances while keeping
+        memory bounded.
     suggest:
         ``"batched"`` (default) runs Algorithm 1 through the vectorized
         suggestion engine — cells batched per refresh, witness-signature
@@ -374,7 +371,7 @@ class GDREngine:
                 seed=self.config.seed,
                 kind=self.config.learner,
             )
-        self.voi = VOIEstimator(self.detector)
+        self.voi = VOIEstimator(self.detector, key_capacity=self.config.voi_cache_capacity)
         self.strategy = self._build_strategy()
         self.policy = EffortPolicy(
             batch_size=self.config.batch_size,
@@ -626,18 +623,19 @@ class GDREngine:
         The benches read this instead of plumbing individual counters;
         keys mirror the component names (``sim`` →
         ``SimilarityCache.stats``, ``cache`` →
-        ``GroupBenefitCache.stats``, ``voi`` → term-memo occupancy,
-        ``guard`` → tick/audit/incident counters plus the structured
-        incident records, ``journal`` → path and sequence, ``faults`` →
-        the registered fault points (from the machine-readable
-        ``FAULT_POINT_REGISTRY``) and whichever are currently armed).
+        ``GroupBenefitCache.stats``, ``voi`` → the probe-key table's
+        ``DeltaKeyCache.stats``, ``guard`` → tick/audit/incident
+        counters plus the structured incident records, ``journal`` →
+        path and sequence, ``faults`` → the registered fault points
+        (from the machine-readable ``FAULT_POINT_REGISTRY``) and
+        whichever are currently armed).
         """
         from repro.testing.faults import armed_points, fault_points
 
         snapshot: dict = {
             "sim": dict(self.sim_cache.stats),
             "cache": dict(self.benefit_cache.stats) if self.benefit_cache is not None else {},
-            "voi": {"term_memo_size": self.voi.term_memo_size},
+            "voi": dict(self.voi.stats),
             "guard": dict(self.guard.stats) if self.guard is not None else {},
             "journal": (
                 {"path": str(self.journal.path), "seq": self.journal.seq}
@@ -677,18 +675,19 @@ class GDREngine:
     def probability_many(self, updates: list[CandidateUpdate]) -> list[float]:
         """``p̃`` for many updates at once (same values as :meth:`probability`).
 
-        Batches the committee passes per attribute; used by the benefit
-        cache to fill probability-memo misses without one single-row
-        forest pass per update.
+        Batches the committee passes per attribute over rows read from
+        the columnar mirror; used by the benefit cache to fill
+        probability-memo misses without one single-row forest pass per
+        update.
         """
         use_score = self.config.voi_prior == "score"
         priors = [update.score if use_score else 0.5 for update in updates]
         if self.learner is None:
             return priors
-        predictions = predict_many_snapshot(self.db, self.learner, updates)
+        fractions = self.learner.confirm_probabilities(updates, self.db.columns)
         return [
-            prior if prediction.feedback is None else prediction.confirm_probability
-            for prior, prediction in zip(priors, predictions)
+            prior if fraction is None else fraction
+            for prior, fraction in zip(priors, fractions)
         ]
 
     def current_loss(self) -> float:

@@ -421,6 +421,36 @@ class FeedbackLearner:
                 )
         return results
 
+    def confirm_probabilities(
+        self, updates: Sequence[CandidateUpdate], columns
+    ) -> list[float | None]:
+        """Committee confirm fraction ``p̃`` per update, rows read from
+        the column store *columns*; ``None`` where the model abstains.
+
+        The confirm probabilities of :meth:`predict_many` over the same
+        rows — same per-attribute batches in the same order, so the
+        encoder meets never-seen values in the same order — without
+        materialising predictions or vote entropies.
+        """
+        results: list[float | None] = [None] * len(updates)
+        by_attr: dict[str, list[int]] = {}
+        for i, update in enumerate(updates):
+            if self._models[update.attribute] is not None:
+                by_attr.setdefault(update.attribute, []).append(i)
+        confirm_class = feedback_to_class(Feedback.CONFIRM)
+        position_of = columns.position_of
+        for attr, indices in by_attr.items():
+            rows = np.fromiter(
+                (position_of(updates[i].tid) for i in indices), np.int64, len(indices)
+            )
+            X = self.encoder.encode_columns(
+                columns, rows, attr, [updates[i].value for i in indices]
+            )
+            fractions = self._models[attr].vote_fractions(X)[:, confirm_class].tolist()
+            for i, fraction in zip(indices, fractions):
+                results[i] = fraction
+        return results
+
     def confirm_probability(
         self, update: CandidateUpdate, row_values: Sequence[object]
     ) -> float:

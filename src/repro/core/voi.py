@@ -19,6 +19,12 @@ worked example (§4.1, expected benefit 1.05). Providers additionally
 exposing the batched ``what_if_many`` (the columnar detector does) get
 all probes for one cell evaluated in a single pass over the partition
 statistics; plain scalar providers fall back to per-update probes.
+
+The interactive loop ranks through :class:`GroupBenefitCache`, which
+re-scores only stale groups: per-key local what-if deltas live in a
+:class:`DeltaKeyCache` and are recombined with the current rule weights
+and satisfying counts in one NumPy pass; :meth:`VOIEstimator.rank_groups`
+stays the cache-free reference.
 """
 
 from __future__ import annotations
@@ -26,6 +32,8 @@ from __future__ import annotations
 import heapq
 from collections.abc import Callable, Mapping, Sequence
 from typing import Protocol
+
+import numpy as np
 
 from repro.constraints.cfd import CFD
 from repro.constraints.violations import ViolationDetector, WhatIfOutcome
@@ -35,14 +43,10 @@ from repro.db.changelog import CellChange
 from repro.db.database import Database
 from repro.repair.candidate import CandidateUpdate
 
-__all__ = ["GroupBenefitCache", "UpdateStatsProvider", "VOIEstimator"]
+__all__ = ["DeltaKeyCache", "GroupBenefitCache", "UpdateStatsProvider", "VOIEstimator"]
 
 #: Maps an update to its confirm probability ``p̃``.
 ProbabilityFn = Callable[[CandidateUpdate], float]
-
-#: Entry bound of the estimator's persistent Eq. 6 term memo; cleared
-#: wholesale on overflow (terms are one sparse probe to recompute).
-_TERM_MEMO_CAPACITY = 1 << 20
 
 
 class UpdateStatsProvider(Protocol):
@@ -78,6 +82,254 @@ def _benefit_from_outcomes(
     return benefit
 
 
+#: Partition tick stored for keys whose outcome read no partition.
+_NO_PARTITIONS = np.iinfo(np.int64).max
+
+
+class DeltaKeyCache:
+    """Local what-if deltas per probe key, recombined in one NumPy pass.
+
+    A *probe key* is ``(attribute, probe signature, value)``: every
+    update whose tuple carries the same codes at every column a probe
+    on the attribute reads, proposing the same value, has the same
+    what-if outcome. Each outcome splits into
+
+    * a **local** part stored per key — per moved rule ``(rule index,
+      vio_reduction, d)`` with ``satisfying_after = S_i + d``;
+    * a **global** part read fresh at every scoring — the per-rule
+      weights ``w_i`` and satisfying counts ``S_i = |D ⊨ φ_i|``.
+
+    A key's local part only goes stale when what it read moved:
+    constant-rule deltas are a pure function of the key; variable-rule
+    deltas also read the tuple's own LHS partition and the candidate's
+    destination partition, recorded at probe time and checked against
+    the detector's per-partition versions; a detector rebuild
+    (``rebuild_epoch``) retires every key.
+
+    The table holds at most *capacity* keys and is cleared wholesale
+    before an insert that would overflow it (``generation`` moves, so
+    callers holding key ids learn they are void).
+    """
+
+    def __init__(self, detector: ViolationDetector, capacity: int = 1 << 20) -> None:
+        self._detector = detector
+        self._capacity = max(1, int(capacity))
+        self.generation = 0
+        self._ids: dict[tuple, int] = {}
+        # per key id: the key, the rebuild epoch it was probed at (-1:
+        # never), the partition tick it was last known current at, and
+        # the variable-rule partitions its outcome read
+        self._keys: list[tuple] = []
+        self._epoch = np.empty(0, dtype=np.int64)
+        self._tick = np.empty(0, dtype=np.int64)
+        self._reads: list = []
+        # per key id, padded term rows: rule index, vio_reduction, d
+        # (padding reads rule 0 with reduction 0: an exact +0.0 term)
+        self._count = np.empty(0, dtype=np.int64)
+        self._rule = np.zeros((0, 1), dtype=np.int64)
+        self._reduction = np.zeros((0, 1), dtype=np.int64)
+        self._delta = np.zeros((0, 1), dtype=np.int64)
+        self._rule_index = {rule: i for i, rule in enumerate(detector.rule_counts()[0])}
+        self.hits = 0
+        self.clears = 0
+        self.reprobes = {"new": 0, "moved": 0, "rebuild": 0}
+
+    # ------------------------------------------------------------------
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    @property
+    def stats(self) -> dict[str, int]:
+        """Occupancy, current-key hits, clears and re-probes by cause."""
+        return {
+            "key_table_size": len(self._keys),
+            "key_table_capacity": self._capacity,
+            "key_table_hits": self.hits,
+            "key_table_clears": self.clears,
+            "key_reprobes_new": self.reprobes["new"],
+            "key_reprobes_moved": self.reprobes["moved"],
+            "key_reprobes_rebuild": self.reprobes["rebuild"],
+        }
+
+    def clear(self) -> None:
+        """Drop every key; ids handed out before become void."""
+        self._ids.clear()
+        self._keys.clear()
+        self._reads.clear()
+        self.generation += 1
+        self.clears += 1
+
+    # ------------------------------------------------------------------
+    def _keys_of(self, updates: list[CandidateUpdate]) -> list[tuple]:
+        """Probe keys of *updates*, one signature gather per attribute."""
+        by_attribute: dict[str, list[int]] = {}
+        for i, update in enumerate(updates):
+            by_attribute.setdefault(update.attribute, []).append(i)
+        keys: list = [None] * len(updates)
+        for attribute, indices in by_attribute.items():
+            signatures = self._detector.probe_signatures(
+                [updates[i].tid for i in indices], attribute
+            )
+            for i, signature in zip(indices, signatures):
+                keys[i] = (attribute, signature, updates[i].value)
+        return keys
+
+    def resolve(
+        self, batches: list[tuple[list[CandidateUpdate], np.ndarray | None]]
+    ) -> list[np.ndarray] | None:
+        """Key ids for every batch of updates.
+
+        A batch arrives with the ids resolved for it earlier (valid only
+        for the current :attr:`generation`) or ``None``. New keys are
+        inserted; when they would overflow the capacity the table is
+        cleared first and every batch resolved afresh. Returns ``None``
+        when the batches alone hold more distinct keys than the
+        capacity — the caller then scores them without the table.
+        """
+        keyed = [None if ids is not None else self._keys_of(updates) for updates, ids in batches]
+        known = self._ids
+        fresh = {k for keys in keyed if keys is not None for k in keys if k not in known}
+        if len(known) + len(fresh) > self._capacity:
+            self.clear()
+            keyed = [
+                keys if keys is not None else self._keys_of(updates)
+                for keys, (updates, __) in zip(keyed, batches)
+            ]
+            fresh = {k for keys in keyed for k in keys}
+            if len(fresh) > self._capacity:
+                return None
+        for key in fresh:
+            self._insert(key)
+        return [
+            ids if keys is None else np.fromiter((known[k] for k in keys), np.int64, len(keys))
+            for keys, (__, ids) in zip(keyed, batches)
+        ]
+
+    def _insert(self, key: tuple) -> None:
+        key_id = len(self._keys)
+        self._ids[key] = key_id
+        self._keys.append(key)
+        self._reads.append(())
+        if key_id >= len(self._epoch):
+            self._grow(max(64, 2 * key_id), self._rule.shape[1])
+        self._epoch[key_id] = -1
+
+    def _grow(self, rows: int, width: int) -> None:
+        old = len(self._epoch)
+        self._epoch = np.resize(self._epoch, rows)
+        self._tick = np.resize(self._tick, rows)
+        self._count = np.resize(self._count, rows)
+        grown = []
+        for table in (self._rule, self._reduction, self._delta):
+            wider = np.zeros((rows, width), dtype=np.int64)
+            wider[: min(old, rows), : table.shape[1]] = table[: min(old, rows)]
+            grown.append(wider)
+        self._rule, self._reduction, self._delta = grown
+
+    # ------------------------------------------------------------------
+    def benefits(
+        self,
+        ids: np.ndarray,
+        updates: list[CandidateUpdate],
+        probabilities: np.ndarray,
+        weights: Mapping[CFD, float],
+    ) -> list[float]:
+        """Eq. 6 terms of *updates* (whose key ids are *ids*).
+
+        Re-probes the stale keys among *ids* first, then evaluates
+        ``w·p·red / max(1, S + d)`` elementwise in float64 and folds
+        each update's terms left to right from ``0.0`` — bit for bit
+        the arithmetic of the scalar loop, in the same rule order.
+        """
+        if not len(ids):
+            return []
+        rules, __, satisfying = self._detector.rule_counts()
+        self._refresh_keys(ids, updates, satisfying.tolist())
+        weight = np.array([weights.get(rule, 0.0) for rule in rules], dtype=np.float64)
+        width = int(self._count[ids].max())
+        total = np.zeros(len(ids), dtype=np.float64)
+        for column in range(width):
+            rule = self._rule[ids, column]
+            total += (
+                weight[rule]
+                * probabilities
+                * self._reduction[ids, column]
+                / np.maximum(1, satisfying[rule] + self._delta[ids, column])
+            )
+        return total.tolist()
+
+    def _refresh_keys(
+        self, ids: np.ndarray, updates: list[CandidateUpdate], satisfying: list[int]
+    ) -> None:
+        """Re-probe every key in *ids* whose local part is stale."""
+        detector = self._detector
+        epoch = detector.rebuild_epoch
+        tick = detector.partition_tick
+        used, first = np.unique(ids, return_index=True)
+        probed_at = self._epoch[used]
+        current = probed_at == epoch
+        # keys that read no partition stay current until a rebuild; the
+        # others are checked once per partition movement
+        check = used[current & (self._tick[used] < tick)]
+        moved = []
+        reads = self._reads
+        ticks = self._tick
+        for key_id in check.tolist():
+            if detector.partitions_moved(reads[key_id], int(ticks[key_id])):
+                moved.append(key_id)
+            else:
+                ticks[key_id] = tick
+        self.hits += int(current.sum()) - len(moved)
+        stale = used[~current]
+        if not len(stale) and not moved:
+            return
+        new = int((probed_at < 0).sum())
+        self.reprobes["new"] += new
+        self.reprobes["rebuild"] += len(stale) - new
+        self.reprobes["moved"] += len(moved)
+        first_of = dict(zip(used.tolist(), first.tolist()))
+        # one probe per (attribute, signature): every stale value of a
+        # signature shares the probe's per-cell setup
+        by_signature: dict[tuple, tuple[int, list[int]]] = {}
+        for key_id in stale.tolist() + moved:
+            attribute, signature, __ = self._keys[key_id]
+            entry = by_signature.get((attribute, signature))
+            if entry is None:
+                tid = updates[first_of[key_id]].tid
+                by_signature[(attribute, signature)] = (tid, [key_id])
+            else:
+                entry[1].append(key_id)
+        rule_index = self._rule_index
+        for (attribute, __), (tid, key_ids) in by_signature.items():
+            probe_reads: list = []
+            rows = detector.what_if_moved_many(
+                tid, attribute, [self._keys[k][2] for k in key_ids], probe_reads
+            )
+            for key_id, pairs, read in zip(key_ids, rows, probe_reads):
+                terms = [
+                    (i, outcome[3], outcome[2] - satisfying[i])
+                    for i, outcome in ((rule_index[rule], outcome) for rule, outcome in pairs)
+                ]
+                self._store(key_id, terms, read, epoch, tick)
+
+    def _store(self, key_id: int, terms: list, read, epoch: int, tick: int) -> None:
+        width = len(terms)
+        if width > self._rule.shape[1]:
+            self._grow(len(self._epoch), width)
+        self._rule[key_id] = 0
+        self._reduction[key_id] = 0
+        self._delta[key_id] = 0
+        for column, (rule, reduction, delta) in enumerate(terms):
+            self._rule[key_id, column] = rule
+            self._reduction[key_id, column] = reduction
+            self._delta[key_id, column] = delta
+        self._count[key_id] = width
+        self._epoch[key_id] = epoch
+        # a key reading no partition never needs a movement check
+        self._tick[key_id] = tick if read else _NO_PARTITIONS
+        self._reads[key_id] = tuple(read)
+
+
 class VOIEstimator:
     """Computes Eq. 6 group benefits from what-if statistics.
 
@@ -90,6 +342,10 @@ class VOIEstimator:
         Optional fixed rule-weight override; when omitted, weights are
         read from ``stats.weights()`` at every evaluation (the paper's
         ``w_i = |D(φ_i)|/|D|`` on the current instance).
+    key_capacity:
+        Bound of the :class:`DeltaKeyCache` the cached ranking scores
+        through (built when *stats* is a
+        :class:`~repro.constraints.violations.ViolationDetector`).
 
     Examples
     --------
@@ -101,38 +357,24 @@ class VOIEstimator:
         self,
         stats: UpdateStatsProvider,
         weights: Mapping[CFD, float] | None = None,
+        key_capacity: int = 1 << 20,
     ) -> None:
         self._stats = stats
         self._fixed_weights = dict(weights) if weights is not None else None
-        # (attribute, probe signature, value) -> (attr stats version,
-        # Eq. 6 term list); valid while the attribute's rule statistics
-        # hold still — reject/retain feedback and learner refits leave
-        # them untouched, so most re-rankings reuse every term
-        self._term_memo: dict[tuple, tuple[int, list[tuple[float, int, int]]]] = {}
-        self._term_memo_hits = 0
-        self._term_memo_misses = 0
-        self._term_memo_clears = 0
+        self.deltas = (
+            DeltaKeyCache(stats, key_capacity) if isinstance(stats, ViolationDetector) else None
+        )
 
-    def _weights(self) -> Mapping[CFD, float]:
+    def weights(self) -> Mapping[CFD, float]:
+        """The rule weights ``w_i`` an evaluation uses now."""
         if self._fixed_weights is not None:
             return self._fixed_weights
         return self._stats.weights()
 
     @property
-    def term_memo_size(self) -> int:
-        """Current occupancy of the persistent Eq. 6 term memo."""
-        return len(self._term_memo)
-
-    @property
     def stats(self) -> dict[str, int]:
-        """Cache-health counters for the persistent Eq. 6 term memo."""
-        return {
-            "term_memo_size": len(self._term_memo),
-            "term_memo_capacity": _TERM_MEMO_CAPACITY,
-            "term_memo_hits": self._term_memo_hits,
-            "term_memo_misses": self._term_memo_misses,
-            "term_memo_clears": self._term_memo_clears,
-        }
+        """Cache-health counters of the key table (empty without one)."""
+        return self.deltas.stats if self.deltas is not None else {}
 
     def update_benefit(
         self,
@@ -142,7 +384,7 @@ class VOIEstimator:
     ) -> float:
         """The inner Eq. 6 term for a single update ``r_j``."""
         if weights is None:
-            weights = self._weights()
+            weights = self.weights()
         outcomes = self._stats.what_if(update.tid, update.attribute, update.value)
         return _benefit_from_outcomes(outcomes, probability, weights)
 
@@ -157,11 +399,12 @@ class VOIEstimator:
         Updates targeting the same ``(tid, attribute)`` cell share one
         ``what_if_many`` call, so evaluating a whole candidate pool
         costs one partition-statistics pass per distinct cell instead of
-        one apply/revert cycle per update.
+        one apply/revert cycle per update. Nothing is cached across
+        calls: this is the reference the cached ranking is checked
+        against.
         """
-        caller_weights = weights
         if weights is None:
-            weights = self._weights()
+            weights = self.weights()
         what_if_many = getattr(self._stats, "what_if_many", None)
         if what_if_many is None:
             return [
@@ -181,110 +424,49 @@ class VOIEstimator:
                 for i, outcomes in zip(indices, outcome_maps):
                     benefits[i] = _benefit_from_outcomes(outcomes, probabilities[i], weights)
             return benefits
-        # Sparse fast path: only rules whose violation count would move
-        # are reported; every omitted rule's term is exactly zero, so
-        # the sum (same term expression, same rule order) is
-        # byte-identical to the dense loop. Term lists are additionally
-        # shared through the probe signature — tuples whose rows carry
-        # identical codes at every probed column are indistinguishable
-        # to the what-if arithmetic, so one term computation serves them
-        # all. With provider-owned weights the memo persists across
-        # calls, stamped by the attribute's stats version (terms only
-        # depend on row codes — the signature — and rule statistics);
-        # caller-supplied weight mappings get a call-scoped memo, since
-        # baked-in weights would outlive them.
+        # Sparse path: only rules whose violation count would move are
+        # reported; every omitted rule's term is exactly zero, so the
+        # sum (same term expression, same rule order) is byte-identical
+        # to the dense loop. Within the call, updates sharing a probe
+        # key (attribute, probe signature, value) share one term list.
         probe_signature = getattr(self._stats, "probe_signature", None)
-        stats_version = getattr(self._stats, "attr_stats_version", None)
-        persistent = caller_weights is None and stats_version is not None
-        if persistent and len(self._term_memo) > _TERM_MEMO_CAPACITY:
-            self._term_memo.clear()
-            self._term_memo_clears += 1
-        term_memo = self._term_memo if persistent else {}
-        attr_versions: dict[str, int] = {}
         weights_get = weights.get
-        benefits = [0.0] * len(updates)
         terms_of: list[list[tuple[float, int, int]] | None] = [None] * len(updates)
-        memo_keys: list[tuple | None] = [None] * len(updates)
-        # pass 1: memo lookups; schedule one computation per distinct
-        # memo key (followers resolve from the memo after pass 2)
+        leaders: dict[tuple, int] = {}
+        followers: list[tuple[int, int]] = []
         miss_by_cell: dict[tuple[int, str], list[int]] = {}
-        scheduled: set[tuple] = set()
         for i, update in enumerate(updates):
             tid, attribute = update.cell
             if probe_signature is not None:
-                memo_key = (attribute, probe_signature(tid, attribute), update.value)
-                memo_keys[i] = memo_key
-                if persistent:
-                    version = attr_versions.get(attribute)
-                    if version is None:
-                        version = attr_versions[attribute] = stats_version(attribute)
-                    entry = term_memo.get(memo_key)
-                    if entry is not None and entry[0] == version:
-                        self._term_memo_hits += 1
-                        terms_of[i] = entry[1]
-                        continue
-                    self._term_memo_misses += 1
-                else:
-                    terms = term_memo.get(memo_key)
-                    if terms is not None:
-                        terms_of[i] = terms
-                        continue
-                if memo_key in scheduled:
-                    continue  # a leader already computes this key
-                scheduled.add(memo_key)
+                key = (attribute, probe_signature(tid, attribute), update.value)
+                leader = leaders.get(key)
+                if leader is not None:
+                    followers.append((i, leader))
+                    continue
+                leaders[key] = i
             miss_by_cell.setdefault(update.cell, []).append(i)
-        # pass 2: one sparse probe per missed cell — all of a cell's
-        # candidate values share the probe's per-cell setup, exactly
-        # like the dense path's per-cell what_if_many batching. Each
-        # cell's outcomes become terms before the next cell is probed,
-        # so only one cell's outcome pairs are alive at a time.
+        # one sparse probe per cell: all of a cell's candidate values
+        # share the probe's per-cell setup
         for (tid, attribute), indices in miss_by_cell.items():
-            rows = self._term_rows(
-                moved_many,
-                tid,
-                attribute,
-                [updates[i].value for i in indices],
-                weights_get,
-            )
-            for i, terms in zip(indices, rows):
+            rows = moved_many(tid, attribute, [updates[i].value for i in indices])
+            for i, pairs in zip(indices, rows):
+                terms: list[tuple[float, int, int]] = []
+                for rule, outcome in pairs:
+                    weight = weights_get(rule, 0.0)
+                    if weight == 0.0:
+                        continue
+                    terms.append((weight, outcome[3], max(1, outcome[2])))
                 terms_of[i] = terms
-                memo_key = memo_keys[i]
-                if memo_key is not None:
-                    if persistent:
-                        term_memo[memo_key] = (attr_versions[memo_key[0]], terms)
-                    else:
-                        term_memo[memo_key] = terms
-        # pass 3: Eq. 6 accumulation (followers read their leader's terms)
+        for i, leader in followers:
+            terms_of[i] = terms_of[leader]
+        benefits = [0.0] * len(updates)
         for i, terms in enumerate(terms_of):
-            if terms is None:
-                entry = term_memo[memo_keys[i]]
-                terms = entry[1] if persistent else entry
             probability = probabilities[i]
             benefit = 0.0
             for weight, reduction, denominator in terms:
                 benefit += weight * probability * reduction / denominator
             benefits[i] = benefit
         return benefits
-
-    @staticmethod
-    def _term_rows(
-        moved_many, tid: int, attribute: str, values, weights_get
-    ) -> list[list[tuple[float, int, int]]]:
-        """Per candidate, the nonzero Eq. 6 terms ``(w, red, denom)``.
-
-        Rules with zero weight are dropped exactly where the dense loop
-        ``continue``s; term order matches the outcome-map rule order.
-        """
-        rows: list[list[tuple[float, int, int]]] = []
-        for pairs in moved_many(tid, attribute, values):
-            terms: list[tuple[float, int, int]] = []
-            for rule, outcome in pairs:
-                weight = weights_get(rule, 0.0)
-                if weight == 0.0:
-                    continue
-                terms.append((weight, outcome[3], max(1, outcome[2])))
-            rows.append(terms)
-        return rows
 
     def group_benefit(self, group: UpdateGroup, probability: ProbabilityFn) -> float:
         """``E[g(c)]`` of Eq. 6 for one group.
@@ -348,10 +530,25 @@ class GroupBenefitCache:
       (committee features read the row);
     * **instance size** — ``len(db)`` (the weight denominator).
 
-    ``p̃`` values are additionally memoised per ``(cell, value, score)``
-    against row/model versions, so re-scoring a group whose partition
-    stats moved but whose rows and model did not costs only what-if
-    arithmetic, no forest predictions.
+    Re-scoring a stale group costs NumPy arithmetic, not per-update
+    Python, wherever its inputs held still:
+
+    * **key ids** — each member's probe key id in the estimator's
+      :class:`DeltaKeyCache` is kept per group while its membership,
+      its member rows and the key table's generation hold still; the
+      table re-probes only keys whose local deltas went stale, and the
+      Eq. 6 terms of all stale updates are recombined with the current
+      weights in one vectorised pass;
+    * **p̃ vectors** — a group whose membership version, committee
+      version and row generation are unchanged, and none of whose
+      member tuples was written, reuses its stored ``p̃`` vector
+      without a single memo lookup (the common case: only the rule
+      statistics moved). Every other group's updates go through the
+      per-update ``(tid, attribute, value, score)`` memo in stale-group
+      order, and the misses are filled by one batched evaluator call —
+      the same calls, in the same order, as a memo lookup for every
+      update would make, so the learner encoder meets never-seen values
+      in an unchanged order.
 
     The partition-statistics stamp is backed by the detector's
     *per-rule* statistics versions (aggregated per attribute): a rule's
@@ -368,8 +565,8 @@ class GroupBenefitCache:
       baked into every memo stamp, lazily invalidating the whole memo
       instead of letting version counters reset ambiguously.
 
-    Hit/miss/eviction counters are exposed through :attr:`stats` and
-    surfaced by the drain benchmark.
+    Hit/miss/eviction counters and per-refresh re-scoring counts are
+    exposed through :attr:`stats`.
 
     Selection is a lazy max-heap ordered exactly like
     :meth:`VOIEstimator.rank_groups` — entries are pushed on every
@@ -424,6 +621,17 @@ class GroupBenefitCache:
         self._misses = 0
         self._evictions = 0
         self._generation_bumps = 0
+        # per group: ((member version, key-table generation), key ids)
+        # and ((member version, model version, row generation), p̃)
+        self._group_ids: dict[tuple[str, object], tuple[tuple[int, int], np.ndarray]] = {}
+        self._group_probs: dict[
+            tuple[str, object], tuple[tuple[int, int, int], np.ndarray]
+        ] = {}
+        self._refreshes = 0
+        self._groups_rescored = 0
+        self._updates_rescored = 0
+        self._prob_vectors_reused = 0
+        self._last = (0, 0, 0)
         db.add_listener(self._on_db_change)
 
     def detach(self) -> None:
@@ -445,12 +653,16 @@ class GroupBenefitCache:
 
     @property
     def stats(self) -> dict[str, int]:
-        """Cache-health counters (p̃ memo and row-version map).
+        """Cache-health counters (p̃ memo, row-version map, refreshes).
 
-        ``prob_memo_hits`` / ``prob_memo_misses`` count memo lookups,
+        ``prob_memo_hits`` / ``prob_memo_misses`` count memo lookups
+        (groups reusing a stored p̃ vector make none),
         ``prob_memo_evictions`` LRU evictions, ``row_generation_bumps``
         whole-memo invalidations from row-version map overflow; the
-        ``*_size`` entries are current occupancies.
+        ``*_size`` entries are current occupancies. ``refreshes``,
+        ``groups_rescored``, ``updates_rescored`` and
+        ``prob_vectors_reused`` total the refreshes that re-scored
+        anything; the ``last_*`` entries are the latest such refresh's.
         """
         return {
             "prob_memo_hits": self._hits,
@@ -459,6 +671,13 @@ class GroupBenefitCache:
             "prob_memo_size": len(self._prob_memo),
             "row_versions_size": len(self._row_versions),
             "row_generation_bumps": self._generation_bumps,
+            "refreshes": self._refreshes,
+            "groups_rescored": self._groups_rescored,
+            "updates_rescored": self._updates_rescored,
+            "prob_vectors_reused": self._prob_vectors_reused,
+            "last_groups_rescored": self._last[0],
+            "last_updates_rescored": self._last[1],
+            "last_prob_vectors_reused": self._last[2],
         }
 
     # ------------------------------------------------------------------
@@ -538,16 +757,18 @@ class GroupBenefitCache:
     def refresh(self, probability: ProbabilityFn) -> int:
         """Re-score every group whose benefit inputs moved.
 
-        Returns the number of groups re-scored. All stale groups are
-        evaluated through one batched
-        :meth:`VOIEstimator.update_benefits_many` pass, preserving the
-        per-cell probe batching of the full ranking.
+        Returns the number of groups re-scored. The stale groups' Eq. 6
+        terms come from one :meth:`DeltaKeyCache.benefits` pass (or,
+        over a provider without probe keys, one
+        :meth:`VOIEstimator.update_benefits_many` pass).
         """
         index = self._index
         stale = index.poll_dirty_keys(self._cursor)
+        written: set[tuple[str, object]] = set()
         if self._written:
             for tid in self._written:
-                stale.update(index.keys_for_tid(tid))
+                written.update(index.keys_for_tid(tid))
+            stale |= written
             self._written.clear()
         live = index.keys()
         live_set = set(live)
@@ -556,6 +777,8 @@ class GroupBenefitCache:
             del self._benefit[key]
             del self._stamp[key]
             self._token.pop(key, None)
+            self._group_ids.pop(key, None)
+            self._group_probs.pop(key, None)
         stamps = {}
         for key in live:
             if key in stale:
@@ -581,8 +804,15 @@ class GroupBenefitCache:
             start = len(flat)
             flat.extend(group.updates)
             spans.append((start, len(flat)))
-        probabilities = self._probabilities(flat, probability)
-        benefits = self._estimator.update_benefits_many(flat, probabilities)
+        probabilities, reused = self._group_probabilities(groups, written, probability)
+        deltas = self._estimator.deltas
+        ids = None
+        if deltas is not None:
+            ids = self._key_ids(deltas, groups, written)
+        if ids is None:
+            benefits = self._estimator.update_benefits_many(flat, probabilities.tolist())
+        else:
+            benefits = deltas.benefits(ids, flat, probabilities, self._estimator.weights())
         for group, (start, end) in zip(groups, spans):
             key = group.key
             benefit = sum(benefits[start:end])
@@ -600,10 +830,96 @@ class GroupBenefitCache:
                 entry for entry in self._heap if self._token.get(entry[4]) == entry[3]
             ]
             heapq.heapify(self._heap)
+        self._refreshes += 1
+        self._groups_rescored += len(groups)
+        self._updates_rescored += len(flat)
+        self._prob_vectors_reused += reused
+        self._last = (len(groups), len(flat), reused)
         return len(groups)
 
+    def _group_probabilities(
+        self,
+        groups: list[UpdateGroup],
+        written: set[tuple[str, object]],
+        probability: ProbabilityFn,
+    ) -> tuple[np.ndarray, int]:
+        """``p̃`` of every member of *groups*, flattened in group order,
+        and the number of groups whose stored vector was reused.
+
+        Reuses a group's stored vector when the reuse rule holds (see
+        the class docstring); all other members go through the memo in
+        one :meth:`_probabilities` call.
+        """
+        index = self._index
+        generation = self._row_generation
+        parts: list[np.ndarray | None] = []
+        stamps: list[tuple[int, int, int] | None] = []
+        pending: list[CandidateUpdate] = []
+        reused = 0
+        for group in groups:
+            key = group.key
+            stamp = None
+            if key[0] != "*":
+                stamp = (index.version(key), self._model_version(key[0]), generation)
+                stored = self._group_probs.get(key)
+                if stored is not None and stored[0] == stamp and key not in written:
+                    parts.append(stored[1])
+                    stamps.append(None)
+                    reused += 1
+                    continue
+            parts.append(None)
+            stamps.append(stamp)
+            pending.extend(group.updates)
+        fresh = np.array(self._probabilities(pending, probability), dtype=np.float64)
+        offset = 0
+        for i, group in enumerate(groups):
+            if parts[i] is not None:
+                continue
+            size = len(group.updates)
+            # a copy, so a stored vector never pins the whole batch
+            part = parts[i] = fresh[offset : offset + size].copy()
+            offset += size
+            if stamps[i] is not None:
+                self._group_probs[group.key] = (stamps[i], part)
+        return np.concatenate(parts), reused
+
+    def _key_ids(
+        self,
+        deltas: DeltaKeyCache,
+        groups: list[UpdateGroup],
+        written: set[tuple[str, object]],
+    ) -> np.ndarray | None:
+        """Probe key ids of every member of *groups*, flattened in order.
+
+        A group's ids are kept while its membership and member rows
+        (hence their probe signatures) and the table generation hold
+        still. ``None`` when the stale updates hold more distinct keys
+        than the table may.
+        """
+        index = self._index
+        generation = deltas.generation
+        batches = []
+        for group in groups:
+            key = group.key
+            stored = self._group_ids.get(key)
+            ids = None
+            if (
+                stored is not None
+                and stored[0] == (index.version(key), generation)
+                and key not in written
+            ):
+                ids = stored[1]
+            batches.append((group.updates, ids))
+        resolved = deltas.resolve(batches)
+        if resolved is None:
+            return None
+        generation = deltas.generation
+        for group, ids in zip(groups, resolved):
+            self._group_ids[group.key] = ((index.version(group.key), generation), ids)
+        return np.concatenate(resolved)
+
     def invalidate(self) -> None:
-        """Drop every cached benefit, stamp and memoised ``p̃``.
+        """Drop every cached benefit, stamp, key and memoised ``p̃``.
 
         The recovery action when the invariant guard finds a cached
         benefit diverging from the Eq. 6 reference while its stamp
@@ -615,6 +931,10 @@ class GroupBenefitCache:
         self._token.clear()
         self._heap.clear()
         self._prob_memo.clear()
+        self._group_ids.clear()
+        self._group_probs.clear()
+        if self._estimator.deltas is not None:
+            self._estimator.deltas.clear()
         self._written.clear()
         self._row_versions.clear()
         self._row_generation += 1

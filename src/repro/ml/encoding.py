@@ -105,6 +105,10 @@ class UpdateExampleEncoder:
         self.schema = schema
         self.sim = sim
         self._encoders = {attr: CategoricalEncoder() for attr in schema.attributes}
+        # per attribute: (column-store vocabulary, its code -> our code,
+        # -1 where not yet looked up). Both vocabularies are append-only
+        # and map equal values to one code, so an entry never goes stale.
+        self._code_maps: dict[str, tuple[object, np.ndarray]] = {}
 
     @property
     def n_features(self) -> int:
@@ -178,6 +182,80 @@ class UpdateExampleEncoder:
             features[i, n_attrs + 1] = float(sim(current, suggested))
         return features
 
+    def encode_columns(
+        self,
+        columns,
+        rows: np.ndarray,
+        attribute: str,
+        suggested_values: Sequence[object],
+    ) -> np.ndarray:
+        """:meth:`encode_many` for rows read from a column store's codes.
+
+        *columns* is a :class:`~repro.db.columnar.ColumnStore` and
+        *rows* are storage row positions. Byte-identical to
+        :meth:`encode_many` over the decoded rows, and it feeds every
+        per-attribute encoder the never-seen values in the same first
+        encounter order; store codes already looked up translate
+        through a per-attribute array instead of one dictionary lookup
+        per cell.
+        """
+        count = len(suggested_values)
+        features = np.empty((count, self.n_features), dtype=np.float64)
+        n_attrs = len(self.schema)
+        target_pos = self.schema.position(attribute)
+        for j, attr in enumerate(self.schema.attributes):
+            if j != target_pos:
+                codes = columns.codes(j)[rows]
+                features[:, j] = self._translate(attr, columns.vocabulary(j), codes)
+        vocab = columns.vocabulary(target_pos)
+        current_codes = columns.codes(target_pos)[rows]
+        currents = vocab.decode_many(current_codes.tolist())
+        target_encode = self._encoders[attribute].encode
+        if (self._code_map(attribute, vocab)[current_codes] >= 0).all():
+            # every current value is known, so only suggestions can
+            # meet the encoder for the first time
+            features[:, n_attrs] = [target_encode(value) for value in suggested_values]
+        else:
+            # interleave current and suggested values exactly like
+            # encode_many does
+            suggested_codes = []
+            for current, value in zip(currents, suggested_values):
+                target_encode(current)
+                suggested_codes.append(target_encode(value))
+            features[:, n_attrs] = suggested_codes
+        features[:, target_pos] = self._translate(attribute, vocab, current_codes)
+        sim = self.sim
+        features[:, n_attrs + 1] = [
+            float(sim(current, value)) for current, value in zip(currents, suggested_values)
+        ]
+        return features
+
+    def _code_map(self, attribute: str, vocab) -> np.ndarray:
+        entry = self._code_maps.get(attribute)
+        if entry is None or entry[0] is not vocab:
+            table = np.full(max(16, len(vocab)), -1, dtype=np.int64)
+        elif len(entry[1]) < len(vocab):
+            table = np.full(2 * len(vocab), -1, dtype=np.int64)
+            table[: len(entry[1])] = entry[1]
+        else:
+            return entry[1]
+        self._code_maps[attribute] = (vocab, table)
+        return table
+
+    def _translate(self, attribute: str, vocab, codes: np.ndarray) -> np.ndarray:
+        """Our codes for store *codes* of one column, encoding values
+        never looked up before in their first-encounter order."""
+        table = self._code_map(attribute, vocab)
+        out = table[codes]
+        missing = out < 0
+        if missing.any():
+            unseen, first = np.unique(codes[missing], return_index=True)
+            encode = self._encoders[attribute].encode
+            for code in unseen[np.argsort(first)].tolist():
+                table[code] = encode(vocab.decode(code))
+            out = table[codes]
+        return out
+
     def encoder_for(self, attribute: str) -> CategoricalEncoder:
         """The vocabulary encoder of one attribute (shared with ``v``)."""
         return self._encoders[attribute]
@@ -197,3 +275,4 @@ class UpdateExampleEncoder:
         self._encoders = {
             a: CategoricalEncoder.from_values(values) for a, values in vocab.items()
         }
+        self._code_maps.clear()

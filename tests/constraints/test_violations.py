@@ -160,6 +160,44 @@ class TestViolatedRules:
         phi11 = figure1_rules.by_name("phi1.1")
         assert weights[phi11] == det.context_size(phi11) / len(figure1_dirty)
 
+    @pytest.mark.parametrize("dataset,seed", [("hospital", 0), ("hospital", 1), ("adult", 2)])
+    def test_index_matches_rule_scan_under_random_writes(self, dataset, seed):
+        """The per-tuple violated-state index equals a scan of every
+        rule state, in rule order, through writes, inserts, deletes and
+        both rebuild paths."""
+        import random
+
+        from repro.datasets import load_dataset
+
+        ds = load_dataset(dataset, n=80, seed=seed)
+        db = ds.fresh_dirty()
+        det = ViolationDetector(db, ds.rules)
+        rng = random.Random(seed)
+        attributes = db.schema.attributes
+        domains = {a: sorted(db.domain(a), key=str) for a in attributes}
+
+        def scan(tid):
+            return [state.rule for state in det._states if state.is_violating(tid)]
+
+        for step in range(120):
+            tids = db.tids()
+            roll = rng.random()
+            if roll < 0.85:
+                attribute = rng.choice(attributes)
+                db.set_value(rng.choice(tids), attribute, rng.choice(domains[attribute]))
+            elif roll < 0.92:
+                tid = db.insert(db.values_snapshot(rng.choice(tids)))
+                det.add_tuple(tid)
+            elif roll < 0.97:
+                tid = rng.choice(tids)
+                det.remove_tuple(tid)
+                db.delete(tid)
+            else:
+                det.recompute(rng.choice(["columnar", "reference"]))
+            for tid in db.tids():
+                assert det.violated_rules(tid) == scan(tid), (step, tid)
+        assert det.verify()
+
 
 class TestWhatIf:
     def test_what_if_does_not_mutate(self, simple_db, constant_rule_set):
@@ -298,3 +336,12 @@ class TestSigCacheStats:
         det.probe_signature(0, "zip")  # entry was evicted by the write
         assert det.stats["sig_cache_misses"] == 2
         assert det.stats["sig_cache_hits"] == 0
+
+    def test_batched_signatures_match_and_bypass_the_cache(self, simple_db, variable_rule_set):
+        det = ViolationDetector(simple_db, variable_rule_set)
+        tids = simple_db.tids()
+        for attribute in simple_db.schema.attributes:
+            batched = det.probe_signatures(tids, attribute)
+            assert det.stats["sig_cache_size"] == 0
+            assert batched == [det.probe_signature(tid, attribute) for tid in tids]
+            det._sig_cache.clear()

@@ -211,7 +211,7 @@ class TestHealth:
         assert set(health) >= {"sim", "cache", "voi", "guard", "journal", "incidents", "faults"}
         assert health["journal"]["seq"] > 0
         assert health["guard"]["ticks"] > 0
-        assert health["voi"]["term_memo_size"] >= 0
+        assert health["voi"]["key_table_size"] >= 0
         assert health["incidents"] == []
         # the faults section mirrors the machine-readable registry
         from repro.testing.faults import FAULT_POINT_REGISTRY

@@ -293,6 +293,11 @@ class TestBoundedCaches:
         assert stats["prob_memo_size"] <= 8
         assert stats["row_versions_size"] <= 8
         assert stats["row_generation_bumps"] > 0
+        keys = engine_small.health()["voi"]
+        assert keys["key_table_capacity"] == 8
+        assert keys["key_table_clears"] >= 1
+        assert keys["key_table_size"] <= 8
+        assert engine_big.health()["voi"]["key_table_clears"] == 0
         # eviction is a memory policy, never a semantics change
         assert _signature(db_small, result_small) == _signature(db_big, result_big)
 

@@ -108,6 +108,39 @@ class TestTrainedModel:
         update = CandidateUpdate(0, "city", "v", 0.33)
         assert learner.confirm_probability(update, ("a", "b", "c")) == pytest.approx(0.33)
 
+    def test_confirm_probabilities_match_predict_many(self, schema):
+        """The confirm-only pass over a column store returns exactly the
+        ``p̃`` of :meth:`predict_many` (``None`` where it abstains) and
+        leaves the encoder vocabularies as ``predict_many`` would."""
+        from repro.db import Database
+
+        rows = [
+            ("H2", "FT Wayne", "46825"),
+            ("H9", "Fort Wayne", "46825"),
+            ("H7", "Fort Wyne", "46391"),
+            ("H2", "Westville", "46391"),
+        ]
+        db = Database(schema, rows)
+        updates = [
+            CandidateUpdate(0, "city", "Fort Wayne", 0.8),
+            CandidateUpdate(1, "city", "Garbage", 0.2),
+            CandidateUpdate(2, "zip", "46825", 0.4),  # unfitted model: abstains
+            CandidateUpdate(3, "city", "Never Seen", 0.6),
+            CandidateUpdate(2, "city", "Fort Wayne", 0.5),
+        ]
+        by_rows = FeedbackLearner(schema, min_examples=5, seed=0)
+        by_codes = FeedbackLearner(schema, min_examples=5, seed=0)
+        for learner in (by_rows, by_codes):
+            _teach_pattern(learner)
+        expected = [
+            None if p.feedback is None else p.confirm_probability
+            for p in by_rows.predict_many(updates, [db.values_snapshot(u.tid) for u in updates])
+        ]
+        got = by_codes.confirm_probabilities(updates, db.columns)
+        assert got == expected
+        assert got[2] is None and got[0] is not None
+        assert by_codes.encoder.export_vocab() == by_rows.encoder.export_vocab()
+
     def test_repr(self, schema):
         learner = FeedbackLearner(schema, seed=0)
         assert "models fitted" in repr(learner)

@@ -10,7 +10,15 @@ import random
 import pytest
 
 from repro.constraints import ViolationDetector
-from repro.core import GroupBenefitCache, GroupIndex, VOIEstimator, group_updates
+from repro.core import (
+    GDRConfig,
+    GDREngine,
+    GroundTruthOracle,
+    GroupBenefitCache,
+    GroupIndex,
+    VOIEstimator,
+    group_updates,
+)
 from repro.datasets import load_dataset
 from repro.repair import (
     ConsistencyManager,
@@ -135,3 +143,62 @@ class TestCacheParity:
         manager.refresh_suggestions()
         rescored = cache.refresh(_score_probability)
         assert 0 < rescored < len(index)
+
+
+class TestRefreshCounters:
+    """``stats`` reports what each refresh re-scored and reused, and the
+    estimator's key table reports hits, clears and re-probes by cause."""
+
+    def test_counts_follow_what_moved(self, substrate):
+        __, db, detector, state, index, __, __, estimator = substrate
+        cache = GroupBenefitCache(estimator, index, detector, db)
+        rescored = cache.refresh(_score_probability)
+        stats = cache.stats
+        assert stats["refreshes"] == 1
+        assert stats["last_groups_rescored"] == rescored == len(index)
+        assert stats["last_updates_rescored"] == len(state.updates())
+        assert stats["last_prob_vectors_reused"] == 0
+        keys = estimator.stats
+        assert keys["key_reprobes_new"] == keys["key_table_size"] > 0
+        assert keys["key_reprobes_moved"] == keys["key_reprobes_rebuild"] == 0
+        # a rebuild moves every rule's statistics version but no
+        # member, row or committee: every group is re-scored from its
+        # stored p̃ vector and every key is retired by the rebuild
+        detector.recompute()
+        rescored = cache.refresh(_score_probability)
+        stats = cache.stats
+        assert stats["refreshes"] == 2
+        assert rescored == len(index)
+        assert stats["last_prob_vectors_reused"] == rescored
+        assert stats["prob_vectors_reused"] == rescored
+        assert stats["groups_rescored"] == 2 * len(index)
+        after = estimator.stats
+        assert after["key_reprobes_rebuild"] == keys["key_table_size"]
+        assert after["key_reprobes_new"] == keys["key_reprobes_new"]
+        # a third pass over unchanged inputs touches nothing
+        assert cache.refresh(_score_probability) == 0
+        assert cache.stats["refreshes"] == 2
+
+    def test_engine_health_reports_the_key_table(self):
+        ds = load_dataset("hospital", n=80, seed=5)
+        engine = GDREngine(
+            ds.fresh_dirty(), ds.rules, GroundTruthOracle(ds.clean), GDRConfig.gdr(seed=2)
+        )
+        engine.run(feedback_limit=15)
+        voi = engine.health()["voi"]
+        assert set(voi) == {
+            "key_table_size",
+            "key_table_capacity",
+            "key_table_hits",
+            "key_table_clears",
+            "key_reprobes_new",
+            "key_reprobes_moved",
+            "key_reprobes_rebuild",
+        }
+        assert voi["key_table_hits"] > 0
+        assert voi["key_reprobes_new"] == voi["key_table_size"] > 0
+        assert voi["key_table_clears"] == 0
+        cache = engine.health()["cache"]
+        assert cache["prob_memo_hits"] + cache["prob_memo_misses"] > 0
+        assert cache["prob_vectors_reused"] > 0
+        assert cache["updates_rescored"] >= cache["groups_rescored"] >= cache["refreshes"] > 0

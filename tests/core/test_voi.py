@@ -1,5 +1,6 @@
 """Tests for :mod:`repro.core.voi`, incl. the paper's §4.1 worked example."""
 
+import numpy as np
 import pytest
 
 from repro.constraints import CFD, RuleSet, ViolationDetector, parse_rules
@@ -150,7 +151,7 @@ class TestAgainstRealDetector:
 
 
 class TestCacheStats:
-    """The Eq. 6 term memo is observable (repolint cache-discipline)."""
+    """The probe-key table is observable (repolint cache-discipline)."""
 
     def _detector_estimator(self):
         schema = Schema("r", ["zip", "city"])
@@ -164,18 +165,21 @@ class TestCacheStats:
 
     def test_counters_move_with_the_memo(self):
         estimator = self._detector_estimator()
-        group = UpdateGroup(
-            ("city", "Michigan City"),
-            [CandidateUpdate(0, "city", "Michigan City", 0.8)],
-        )
-        assert estimator.stats["term_memo_hits"] == 0
-        estimator.group_benefit(group, lambda u: u.score)
+        deltas = estimator.deltas
+        updates = [CandidateUpdate(0, "city", "Michigan City", 0.8)]
+
+        def score():
+            (ids,) = deltas.resolve([(updates, None)])
+            return deltas.benefits(ids, updates, np.array([0.8]), estimator.weights())
+
+        assert estimator.stats["key_table_hits"] == 0
+        first_value = score()
         first = estimator.stats
-        assert first["term_memo_misses"] >= 1
-        assert first["term_memo_size"] == estimator.term_memo_size >= 1
-        estimator.group_benefit(group, lambda u: u.score)
+        assert first["key_reprobes_new"] == 1
+        assert first["key_table_size"] == len(deltas) == 1
+        assert score() == first_value
         second = estimator.stats
-        assert second["term_memo_hits"] >= 1
-        assert second["term_memo_misses"] == first["term_memo_misses"]
-        assert second["term_memo_capacity"] > 0
-        assert second["term_memo_clears"] == 0
+        assert second["key_table_hits"] == 1
+        assert second["key_reprobes_new"] == first["key_reprobes_new"]
+        assert second["key_table_capacity"] > 0
+        assert second["key_table_clears"] == 0

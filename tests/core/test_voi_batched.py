@@ -1,5 +1,6 @@
 """Tests for the batched Eq. 6 evaluation threading (VOI + Greedy)."""
 
+import numpy as np
 import pytest
 
 from repro.constraints import CFD, RuleSet, ViolationDetector, parse_rules
@@ -173,27 +174,39 @@ class TestSparseMovedPath:
         assert got == expected  # byte-identical, not approx
 
     def test_term_memo_reuses_until_stats_move(self):
+        """The probe-key table keeps a key's local deltas until a
+        partition the key read moves, and matches the dense arithmetic
+        throughout."""
+        from repro.core.voi import _benefit_from_outcomes
+
         __, db, detector = self._live(n=120)
         estimator = VOIEstimator(detector)
-        tid = sorted(detector.dirty_tuples())[0]
+        deltas = estimator.deltas
+        rule = next(r for r in detector.rules if r.name == "hospital_zip")
+        tid = next(
+            t for t in sorted(detector.dirty_tuples()) if len(detector.group_members(t, rule)) > 1
+        )
         updates = [CandidateUpdate(tid, "zip", "46360", 0.4)]
-        first = estimator.update_benefits_many(updates, [0.5])
-        assert len(estimator._term_memo) > 0
-        # statistics unchanged -> memo hit, same value
-        assert estimator.update_benefits_many(updates, [0.5]) == first
-        # a write that moves the statistics invalidates via the stamp
-        before = detector.attr_stats_version("zip")
-        db.set_value(tid, "zip", "46360")
-        if detector.attr_stats_version("zip") != before:
-            fresh = estimator.update_benefits_many(updates, [0.5])
-            weights = detector.weights()
-            from repro.core.voi import _benefit_from_outcomes
 
-            assert fresh == [
-                _benefit_from_outcomes(
-                    detector.what_if(tid, "zip", "46360"), 0.5, weights
-                )
-            ]
+        def keyed():
+            (ids,) = deltas.resolve([(updates, None)])
+            return deltas.benefits(ids, updates, np.array([0.5]), estimator.weights())
+
+        def reference():
+            outcomes = detector.what_if(tid, "zip", "46360")
+            return [_benefit_from_outcomes(outcomes, 0.5, detector.weights())]
+
+        assert keyed() == reference()
+        assert deltas.stats["key_reprobes_new"] == 1
+        # statistics unchanged -> the key is current, no probe
+        assert keyed() == reference()
+        assert deltas.stats["key_table_hits"] == 1
+        # a write moving a partition the key read forces a re-probe
+        partner = next(t for t in sorted(detector.group_members(tid, rule)) if t != tid)
+        db.set_value(partner, "zip", "99999")
+        assert keyed() == reference()
+        assert deltas.stats["key_reprobes_moved"] == 1
+        assert deltas.stats["key_table_hits"] == 1
 
     def test_caller_weights_bypass_persistent_memo(self):
         __, db, detector = self._live(n=120)

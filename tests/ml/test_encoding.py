@@ -150,3 +150,58 @@ class TestEncodeMany:
         enc.encode_many([("x", "y")], "b", ["w"])
         single = enc.encode(("x", "y"), "b", "w")
         assert np.array_equal(enc.encode_many([("x", "y")], "b", ["w"])[0], single)
+
+
+class TestEncodeColumns:
+    """`encode_columns` over a column store must equal `encode_many`
+    over the decoded rows, and grow every vocabulary in the same order."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_encode_many_through_growth(self, seed):
+        import random
+
+        from repro.db.columnar import ColumnStore
+
+        rng = random.Random(seed)
+        schema = Schema("r", ["a", "b", "c"])
+        pool = [f"v{i}" for i in range(9)]
+        rows = {tid: [rng.choice(pool) for __ in range(3)] for tid in range(12)}
+        store = ColumnStore(schema, rows.items())
+        by_rows = UpdateExampleEncoder(schema)
+        by_codes = UpdateExampleEncoder(schema)
+        for __ in range(25):
+            roll = rng.random()
+            if roll < 0.2:
+                # a write, possibly of a value the store never held
+                tid, pos = rng.randrange(12), rng.randrange(3)
+                value = rng.choice(pool + [f"new{rng.randrange(50)}"])
+                rows[tid][pos] = value
+                store.set_cell(tid, pos, value)
+            elif roll < 0.3:
+                # a training example encodes outside the batch path
+                tid, attribute = rng.randrange(12), rng.choice(schema.attributes)
+                value = rng.choice(pool)
+                by_rows.encode(rows[tid], attribute, value)
+                by_codes.encode(rows[tid], attribute, value)
+            else:
+                tids = [rng.randrange(12) for __ in range(rng.randrange(1, 7))]
+                attribute = rng.choice(schema.attributes)
+                suggested = [rng.choice(pool + ["s1", "s2"]) for __ in tids]
+                expected = by_rows.encode_many([rows[t] for t in tids], attribute, suggested)
+                positions = np.array([store.position_of(t) for t in tids], dtype=np.int64)
+                got = by_codes.encode_columns(store, positions, attribute, suggested)
+                assert np.array_equal(got, expected)
+            assert by_codes.export_vocab() == by_rows.export_vocab()
+
+    def test_restored_vocabulary_drops_translations(self):
+        from repro.db.columnar import ColumnStore
+
+        schema = Schema("r", ["a", "b"])
+        store = ColumnStore(schema, [(0, ["x", "y"]), (1, ["z", "y"])])
+        enc = UpdateExampleEncoder(schema)
+        rows = np.array([0, 1], dtype=np.int64)
+        enc.encode_columns(store, rows, "b", ["w", "w"])
+        enc.restore_vocab({"a": ["z", "x"], "b": ["w", "y"]})
+        got = enc.encode_columns(store, rows, "b", ["w", "w"])
+        assert got[:, 0].tolist() == [1.0, 0.0]
+        assert got[:, 1].tolist() == [1.0, 1.0]
