@@ -101,11 +101,11 @@ class GDRConfig:
         its ``GDRResult`` byte-for-byte (tested across presets and
         datasets).
     voi_cache_capacity:
-        Entry bound for the benefit cache's p̃ memo and row-version
-        map (LRU / generation eviction) and for the estimator's
-        probe-key table (cleared before an overflowing insert); the
-        default comfortably holds million-tuple instances while keeping
-        memory bounded.
+        Entry bound for the estimator's probe-key table (cleared
+        before an overflowing insert); the default comfortably holds
+        million-tuple instances while keeping memory bounded. The
+        benefit cache's stored p̃ vectors need no bound: they hold one
+        value per live suggestion.
     suggest:
         ``"batched"`` (default) runs Algorithm 1 through the vectorized
         suggestion engine — cells batched per refresh, witness-signature
@@ -398,8 +398,6 @@ class GDREngine:
                     db,
                     self.learner,
                     probability_many=self.probability_many,
-                    prob_memo_capacity=self.config.voi_cache_capacity,
-                    row_version_capacity=self.config.voi_cache_capacity,
                 )
 
         # robustness layer: write-ahead journal + invariant guard
@@ -474,7 +472,9 @@ class GDREngine:
     # ------------------------------------------------------------------
     # durability: checkpoint / restore / resume
     # ------------------------------------------------------------------
-    _CHECKPOINT_FORMAT = 2
+    #: 3: committees pickle as per-forest node arrays (format-2 files
+    #: hold per-tree objects a restored learner cannot predict with)
+    _CHECKPOINT_FORMAT = 3
 
     def checkpoint(self, path: str | Path) -> None:
         """Serialise the full session state to *path*, atomically.
@@ -676,9 +676,9 @@ class GDREngine:
         """``p̃`` for many updates at once (same values as :meth:`probability`).
 
         Batches the committee passes per attribute over rows read from
-        the columnar mirror; used by the benefit cache to fill
-        probability-memo misses without one single-row forest pass per
-        update.
+        the columnar mirror; used by the benefit cache to predict the
+        members its stored p̃ vectors cannot cover, without one
+        single-row forest pass per update.
         """
         use_score = self.config.voi_prior == "score"
         priors = [update.score if use_score else 0.5 for update in updates]

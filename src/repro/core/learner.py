@@ -239,7 +239,7 @@ class FeedbackLearner:
         }
         # bumped whenever an attribute's committee is refitted — the
         # cheap staleness check for caches of model-derived quantities
-        # (the delta pipeline's p̃ memo)
+        # (the benefit cache's stored p̃ vectors)
         self._model_versions: dict[str, int] = {a: 0 for a in schema.attributes}
         self._stale: set[str] = set()
         # rolling record of "was the model's prediction confirmed by the

@@ -511,7 +511,43 @@ class VOIEstimator:
         return scored
 
 
-class GroupBenefitCache:
+class _GroupProbs:
+    """One group's stored ``p̃`` vector and what it was computed from.
+
+    Per member, in the group's order: tid, score and row write stamp
+    at prediction time. ``models`` is the committee version the vector
+    was predicted under; the ungrouped pseudo-group spans attributes, so
+    there it is an array of per-member versions and ``scores`` is
+    ``None``. ``version`` is the group's membership version.
+    """
+
+    __slots__ = ("version", "members", "tids", "scores", "models", "stamps", "probs")
+
+    def __init__(self, version, members, tids, scores, models, stamps, probs) -> None:
+        self.version = version
+        self.members = members
+        self.tids = tids
+        self.scores = scores
+        self.models = models
+        self.stamps = stamps
+        self.probs = probs
+
+    def match(self, tids: np.ndarray, scores: np.ndarray) -> np.ndarray:
+        """Stored position of each ``(tid, score)`` member, ``-1`` if absent.
+
+        Both tid arrays are sorted (a keyed group holds one update per
+        tuple, ordered by cell).
+        """
+        at = np.minimum(np.searchsorted(self.tids, tids), len(self.tids) - 1)
+        found = (self.tids[at] == tids) & (self.scores[at] == scores)
+        return np.where(found, at, -1)
+
+
+class GroupBenefitCache:  # repolint: disable=cache-discipline
+    # suppressed bound finding: every dict here is keyed by live group
+    # (entries dropped when the group empties) and the row stamps by
+    # tuple id, so the cache is bounded by the live pool and the
+    # instance, with no separate capacity to set
     """Cached Eq. 6 group benefits over an incremental group index.
 
     The interactive loop used to re-score *every* group through the
@@ -539,16 +575,20 @@ class GroupBenefitCache:
       table re-probes only keys whose local deltas went stale, and the
       Eq. 6 terms of all stale updates are recombined with the current
       weights in one vectorised pass;
-    * **p̃ vectors** — a group whose membership version, committee
-      version and row generation are unchanged, and none of whose
-      member tuples was written, reuses its stored ``p̃`` vector
-      without a single memo lookup (the common case: only the rule
-      statistics moved). Every other group's updates go through the
-      per-update ``(tid, attribute, value, score)`` memo in stale-group
-      order, and the misses are filled by one batched evaluator call —
-      the same calls, in the same order, as a memo lookup for every
-      update would make, so the learner encoder meets never-seen values
-      in an unchanged order.
+    * **p̃ vectors** — each group keeps the ``p̃`` of its members
+      beside their tids, scores, row write stamps and committee
+      versions. A group whose membership, committee and member rows
+      all held still reuses the vector whole (the common case: only
+      the rule statistics moved). After a refit of the group's
+      committee every member is predicted; otherwise a vectorised
+      match on ``(tid, score)`` with an unmoved row stamp reuses the
+      stored value, and only the other members are predicted. All
+      predictions of a refresh go through one batched evaluator call,
+      members in stale-group order: an update is only ever
+      re-predicted with the row values and suggested value it was
+      predicted with before, which the learner's encoder has already
+      registered, so the encoder meets never-seen values in an
+      unchanged order.
 
     The partition-statistics stamp is backed by the detector's
     *per-rule* statistics versions (aggregated per attribute): a rule's
@@ -556,17 +596,11 @@ class GroupBenefitCache:
     so a write that re-evaluated rules without moving them — the common
     case on wide constant rule sets — invalidates nothing.
 
-    Both memo structures are **bounded** for million-tuple instances:
-
-    * the p̃ memo is an LRU capped at *prob_memo_capacity* entries
-      (least-recently-used entries evicted on overflow);
-    * the per-tuple row-version map is capped at
-      *row_version_capacity*; overflowing it bumps a *generation*
-      baked into every memo stamp, lazily invalidating the whole memo
-      instead of letting version counters reset ambiguously.
-
-    Hit/miss/eviction counters and per-refresh re-scoring counts are
-    exposed through :attr:`stats`.
+    Memory stays bounded by the live pool: one stored vector per live
+    group (dropped when the group empties, replaced whenever it is
+    re-scored) and one write stamp per tuple id. Predicted-by-cause,
+    reuse and per-refresh re-scoring counters are exposed through
+    :attr:`stats`.
 
     Selection is a lazy max-heap ordered exactly like
     :meth:`VOIEstimator.rank_groups` — entries are pushed on every
@@ -583,16 +617,14 @@ class GroupBenefitCache:
         db: Database,
         learner: FeedbackLearner | None = None,
         probability_many: Callable[[list[CandidateUpdate]], list[float]] | None = None,
-        prob_memo_capacity: int = 1 << 20,
-        row_version_capacity: int = 1 << 20,
     ) -> None:
         self._estimator = estimator
         self._index = index
         self._detector = detector
         self._db = db
         self._learner = learner
-        # optional batched p̃ evaluator for memo misses (must agree
-        # value-for-value with the scalar probability function)
+        # optional batched p̃ evaluator (must agree value-for-value with
+        # the scalar probability function)
         self._probability_many = probability_many
         self._cursor = index.dirty_cursor()
         self._benefit: dict[tuple[str, object], float] = {}
@@ -602,31 +634,18 @@ class GroupBenefitCache:
         self._token: dict[tuple[str, object], int] = {}
         self._token_counter = 0
         self._heap: list[tuple] = []
-        # row staleness: tuples written since the last refresh, and a
-        # per-tuple write stamp guarding the p̃ memo. Stamps are drawn
-        # from one monotonic write sequence (never per-tid counters), so
-        # evicting and re-creating an entry can never reproduce an old
-        # stamp; the generation covers the remaining hazard of a map
-        # prune making absent tids read as stamp 0 again.
+        # row staleness: tuples written since the last refresh, and per
+        # tuple id the write sequence number of its latest write (0:
+        # never written) — one monotonic sequence, so a stamp never
+        # repeats
         self._written: set[int] = set()
-        self._row_versions: dict[int, int] = {}
+        self._row_stamps = np.zeros(0, dtype=np.int64)
         self._write_seq = 0
-        self._row_generation = 0
-        self._row_version_capacity = max(1, int(row_version_capacity))
-        # (tid, attribute, value, score) ->
-        #     (generation, row stamp, model version, p̃); LRU-ordered
-        self._prob_memo: dict[tuple, tuple[int, int, int, float]] = {}
-        self._prob_memo_capacity = max(1, int(prob_memo_capacity))
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
-        self._generation_bumps = 0
         # per group: ((member version, key-table generation), key ids)
-        # and ((member version, model version, row generation), p̃)
         self._group_ids: dict[tuple[str, object], tuple[tuple[int, int], np.ndarray]] = {}
-        self._group_probs: dict[
-            tuple[str, object], tuple[tuple[int, int, int], np.ndarray]
-        ] = {}
+        self._group_probs: dict[tuple[str, object], _GroupProbs] = {}
+        self._reused_values = 0
+        self._predicted = {"model": 0, "row": 0, "new": 0}
         self._refreshes = 0
         self._groups_rescored = 0
         self._updates_rescored = 0
@@ -639,38 +658,47 @@ class GroupBenefitCache:
         self._db.remove_listener(self._on_db_change)
 
     def _on_db_change(self, change: CellChange) -> None:
-        self._written.add(change.tid)
+        tid = change.tid
+        self._written.add(tid)
         self._write_seq += 1
-        rows = self._row_versions
-        rows[change.tid] = self._write_seq
-        if len(rows) > self._row_version_capacity:
-            # generation eviction: absent tids read as stamp 0, which
-            # must not collide with memo entries recorded before the
-            # prune — bumping the generation retires them all lazily
-            rows.clear()
-            self._row_generation += 1
-            self._generation_bumps += 1
+        if tid >= len(self._row_stamps):
+            self._cover_tid(tid)
+        self._row_stamps[tid] = self._write_seq
+
+    def _cover_tid(self, tid: int) -> None:
+        stamps = np.zeros(max(tid + 1, 2 * len(self._row_stamps)), dtype=np.int64)
+        stamps[: len(self._row_stamps)] = self._row_stamps
+        self._row_stamps = stamps
+
+    def _row_stamps_of(self, tids: np.ndarray) -> np.ndarray:
+        """Current write stamps of *tids* (sorted ascending)."""
+        if len(tids) and tids[-1] >= len(self._row_stamps):
+            self._cover_tid(int(tids.max()))
+        return self._row_stamps[tids]
 
     @property
     def stats(self) -> dict[str, int]:
-        """Cache-health counters (p̃ memo, row-version map, refreshes).
+        """Cache-health counters (p̃ vectors, row stamps, refreshes).
 
-        ``prob_memo_hits`` / ``prob_memo_misses`` count memo lookups
-        (groups reusing a stored p̃ vector make none),
-        ``prob_memo_evictions`` LRU evictions, ``row_generation_bumps``
-        whole-memo invalidations from row-version map overflow; the
-        ``*_size`` entries are current occupancies. ``refreshes``,
-        ``groups_rescored``, ``updates_rescored`` and
+        ``prob_memo_hits`` / ``prob_memo_misses`` count ``p̃`` values
+        reused from stored vectors and values predicted; the
+        ``prob_predicted_*`` entries split the predictions by cause
+        (the group's committee moved, a member row was written, a new
+        member or group). ``prob_vectors`` / ``prob_vector_members``
+        and ``row_stamps_size`` are current occupancies.
+        ``refreshes``, ``groups_rescored``, ``updates_rescored`` and
         ``prob_vectors_reused`` total the refreshes that re-scored
         anything; the ``last_*`` entries are the latest such refresh's.
         """
         return {
-            "prob_memo_hits": self._hits,
-            "prob_memo_misses": self._misses,
-            "prob_memo_evictions": self._evictions,
-            "prob_memo_size": len(self._prob_memo),
-            "row_versions_size": len(self._row_versions),
-            "row_generation_bumps": self._generation_bumps,
+            "prob_memo_hits": self._reused_values,
+            "prob_memo_misses": sum(self._predicted.values()),
+            "prob_predicted_model": self._predicted["model"],
+            "prob_predicted_row": self._predicted["row"],
+            "prob_predicted_new": self._predicted["new"],
+            "prob_vectors": len(self._group_probs),
+            "prob_vector_members": sum(len(v.probs) for v in self._group_probs.values()),
+            "row_stamps_size": len(self._row_stamps),
             "refreshes": self._refreshes,
             "groups_rescored": self._groups_rescored,
             "updates_rescored": self._updates_rescored,
@@ -685,65 +713,6 @@ class GroupBenefitCache:
         if self._learner is None:
             return 0
         return self._learner.model_version(attribute)
-
-    def _probabilities(
-        self, updates: list[CandidateUpdate], probability: ProbabilityFn
-    ) -> list[float]:
-        """Memoised ``p̃`` per update; misses evaluated in one batch.
-
-        Hits are refreshed to the LRU tail; misses are filled through
-        the batched evaluator and inserted under the capacity bound
-        (evicting the least recently used entries on overflow).
-        """
-        memo = self._prob_memo
-        generation = self._row_generation
-        values: list[float | None] = [None] * len(updates)
-        misses: list[int] = []
-        miss_stamps: list[tuple[int, int]] = []
-        row_version_of = self._row_versions.get
-        model_versions: dict[str, int] = {}
-        for i, update in enumerate(updates):
-            memo_key = (update.tid, update.attribute, update.value, update.score)
-            row_version = row_version_of(update.tid, 0)
-            model_version = model_versions.get(update.attribute)
-            if model_version is None:
-                model_version = model_versions[update.attribute] = self._model_version(
-                    update.attribute
-                )
-            hit = memo.get(memo_key)
-            if (
-                hit is not None
-                and hit[0] == generation
-                and hit[1] == row_version
-                and hit[2] == model_version
-            ):
-                self._hits += 1
-                values[i] = hit[3]
-                # LRU touch: re-insert at the tail of the dict order
-                del memo[memo_key]
-                memo[memo_key] = hit
-            else:
-                self._misses += 1
-                misses.append(i)
-                miss_stamps.append((row_version, model_version))
-        if misses:
-            missed_updates = [updates[i] for i in misses]
-            if self._probability_many is not None:
-                fresh = self._probability_many(missed_updates)
-            else:
-                fresh = [probability(update) for update in missed_updates]
-            capacity = self._prob_memo_capacity
-            for i, (row_version, model_version), value in zip(misses, miss_stamps, fresh):
-                update = updates[i]
-                memo_key = (update.tid, update.attribute, update.value, update.score)
-                if memo_key in memo:
-                    del memo[memo_key]  # re-insert at the LRU tail
-                elif len(memo) >= capacity:
-                    memo.pop(next(iter(memo)))
-                    self._evictions += 1
-                memo[memo_key] = (generation, row_version, model_version, value)
-                values[i] = value
-        return values
 
     def _current_stamp(self, key: tuple[str, object]) -> tuple[int, int, int, int]:
         attribute = key[0]
@@ -780,15 +749,23 @@ class GroupBenefitCache:
             self._group_ids.pop(key, None)
             self._group_probs.pop(key, None)
         stamps = {}
+        # the attribute and instance parts of a stamp, read once per
+        # attribute for the whole scan
+        per_attribute: dict[str, tuple[int, int]] = {}
+        size = len(self._db)
         for key in live:
             if key in stale:
                 continue
-            stamp = self._current_stamp(key)
+            parts = per_attribute.get(key[0])
+            if parts is None:
+                parts = per_attribute[key[0]] = (
+                    self._detector.attr_stats_version(key[0]),
+                    self._model_version(key[0]),
+                )
+            stamp = (index.version(key), parts[0], parts[1], size)
             if self._stamp.get(key) != stamp:
                 stale.add(key)
-            else:
-                continue
-            stamps[key] = stamp
+                stamps[key] = stamp
         stale &= live_set
         # the ungrouped pseudo-group spans attributes; its versions are
         # not meaningful, so it is always re-scored
@@ -797,7 +774,8 @@ class GroupBenefitCache:
                 stale.add(key)
         if not stale:
             return 0
-        groups = [index.group(key) for key in sorted(stale, key=group_sort_key)]
+        # live keys come sorted by group_sort_key
+        groups = [index.group(key) for key in live if key in stale]
         flat: list[CandidateUpdate] = []
         spans: list[tuple[int, int]] = []
         for group in groups:
@@ -844,43 +822,90 @@ class GroupBenefitCache:
         probability: ProbabilityFn,
     ) -> tuple[np.ndarray, int]:
         """``p̃`` of every member of *groups*, flattened in group order,
-        and the number of groups whose stored vector was reused.
+        and the number of groups whose stored vector was reused whole.
 
-        Reuses a group's stored vector when the reuse rule holds (see
-        the class docstring); all other members go through the memo in
-        one :meth:`_probabilities` call.
+        Applies the reuse rule of the class docstring group by group,
+        then predicts every remaining member in one batched call.
         """
         index = self._index
-        generation = self._row_generation
-        parts: list[np.ndarray | None] = []
-        stamps: list[tuple[int, int, int] | None] = []
+        versions: dict[str, int] = {}
+
+        def committee(attribute: str) -> int:
+            version = versions.get(attribute)
+            if version is None:
+                version = versions[attribute] = self._model_version(attribute)
+            return version
+
+        parts: list[np.ndarray] = []
+        # per group not reused whole: its key, the new record and the
+        # member positions to predict; records are stored once filled
+        fills: list[tuple[tuple[str, object], _GroupProbs, np.ndarray]] = []
         pending: list[CandidateUpdate] = []
         reused = 0
         for group in groups:
             key = group.key
-            stamp = None
-            if key[0] != "*":
-                stamp = (index.version(key), self._model_version(key[0]), generation)
-                stored = self._group_probs.get(key)
-                if stored is not None and stored[0] == stamp and key not in written:
-                    parts.append(stored[1])
-                    stamps.append(None)
+            members = group.updates
+            version = index.version(key)
+            stored = self._group_probs.get(key)
+            at = None
+            if key[0] == "*":
+                # the pseudo-group spans attributes and values: match
+                # members by the whole update, committees per member
+                tids = np.fromiter((u.tid for u in members), np.int64, len(members))
+                scores = None
+                models = np.array([committee(u.attribute) for u in members], dtype=np.int64)
+                if stored is not None:
+                    where = {u: j for j, u in enumerate(stored.members)}
+                    at = np.fromiter((where.get(u, -1) for u in members), np.int64, len(members))
+                    current = at >= 0
+                    current[current] = stored.models[at[current]] == models[current]
+            else:
+                models = committee(key[0])
+                same_members = stored is not None and stored.version == version
+                if same_members and stored.models == models and key not in written:
+                    parts.append(stored.probs)
                     reused += 1
+                    self._reused_values += len(members)
                     continue
-            parts.append(None)
-            stamps.append(stamp)
-            pending.extend(group.updates)
-        fresh = np.array(self._probabilities(pending, probability), dtype=np.float64)
+                if same_members:
+                    tids, scores = stored.tids, stored.scores
+                else:
+                    tids = np.fromiter((u.tid for u in members), np.int64, len(members))
+                    scores = np.fromiter((u.score for u in members), np.float64, len(members))
+                if stored is not None and stored.models == models:
+                    at = np.arange(len(members)) if same_members else stored.match(tids, scores)
+                    current = at >= 0
+            stamps = self._row_stamps_of(tids)
+            probs = np.empty(len(members), dtype=np.float64)
+            record = _GroupProbs(version, members, tids, scores, models, stamps, probs)
+            if at is None:
+                todo = np.arange(len(members))
+                self._predicted["new" if stored is None else "model"] += len(members)
+                pending.extend(members)
+            else:
+                known = at >= 0
+                keep = current & (stored.stamps[np.where(known, at, 0)] == stamps)
+                probs[keep] = stored.probs[at[keep]]
+                todo = np.flatnonzero(~keep)
+                n_known, n_current, n_keep = (int(m.sum()) for m in (known, current, keep))
+                self._reused_values += n_keep
+                self._predicted["new"] += len(members) - n_known
+                self._predicted["model"] += n_known - n_current
+                self._predicted["row"] += n_current - n_keep
+                pending.extend(members[i] for i in todo.tolist())
+            fills.append((key, record, todo))
+            parts.append(probs)
+        if pending:
+            if self._probability_many is not None:
+                fresh = np.array(self._probability_many(pending), dtype=np.float64)
+            else:
+                fresh = np.array([probability(u) for u in pending], dtype=np.float64)
         offset = 0
-        for i, group in enumerate(groups):
-            if parts[i] is not None:
-                continue
-            size = len(group.updates)
-            # a copy, so a stored vector never pins the whole batch
-            part = parts[i] = fresh[offset : offset + size].copy()
-            offset += size
-            if stamps[i] is not None:
-                self._group_probs[group.key] = (stamps[i], part)
+        for key, record, todo in fills:
+            if len(todo):
+                record.probs[todo] = fresh[offset : offset + len(todo)]
+                offset += len(todo)
+            self._group_probs[key] = record
         return np.concatenate(parts), reused
 
     def _key_ids(
@@ -930,14 +955,11 @@ class GroupBenefitCache:
         self._stamp.clear()
         self._token.clear()
         self._heap.clear()
-        self._prob_memo.clear()
         self._group_ids.clear()
         self._group_probs.clear()
         if self._estimator.deltas is not None:
             self._estimator.deltas.clear()
         self._written.clear()
-        self._row_versions.clear()
-        self._row_generation += 1
         # mark every live key dirty for the next refresh
         self._index.poll_dirty_keys(self._cursor)
 

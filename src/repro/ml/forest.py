@@ -20,6 +20,8 @@ from repro.ml.tree import (
     DecisionTreeClassifier,
     HistogramTreeClassifier,
     _resolve_max_features,
+    leaf_proba,
+    normalised_importances,
 )
 
 __all__ = ["HistogramForestClassifier", "RandomForestClassifier"]
@@ -29,44 +31,77 @@ __all__ = ["HistogramForestClassifier", "RandomForestClassifier"]
 _VOTE_CHUNK_ROWS = 256
 
 
-class _TreeState:
-    """Growth state of one committee member inside the batched grower."""
+class _NodeArrays:
+    """Node arrays of a whole committee, grown in place.
 
-    __slots__ = (
-        "rng", "n_total", "features", "thresholds", "lefts", "rights",
-        "counts", "nnz", "imp_feats", "imp_vals", "stack",
-    )
+    The batched grower appends every tree's nodes here as it creates
+    them. Trees interleave, but each tree's own nodes keep their
+    creation order, so a per-tree view numbers them exactly like the
+    reference's per-tree lists. Child pointers are ids into these
+    arrays, which :meth:`HistogramForestClassifier.vote_fractions`
+    walks directly.
+    """
 
-    def __init__(self, rng, sample: np.ndarray, y: np.ndarray, n_feat: int, n_classes: int) -> None:
-        self.rng = rng
-        self.n_total = len(sample)
-        self.features: list[int] = []
-        self.thresholds: list[float] = []
-        self.lefts: list[int] = []
-        self.rights: list[int] = []
-        self.counts: list[np.ndarray] = []
-        # distinct-class count per node, maintained at creation so the
-        # purity gate at pop time is a plain int compare
-        self.nnz: list[int] = []
-        # per-split importance contributions, accumulated at the end in
-        # split order — the same float64 addition sequence as the
-        # reference's per-split in-place adds
-        self.imp_feats: list[int] = []
-        self.imp_vals: list[float] = []
-        root_counts = np.bincount(y[sample], minlength=n_classes)
-        root = self.new_node(root_counts, int(np.count_nonzero(root_counts)))
-        # node index sets are GLOBAL row ids into the shared binned
-        # matrix, so batch gathers never go through a per-tree remap
-        self.stack: list[tuple[int, np.ndarray, int]] = [(root, sample, 0)]
+    __slots__ = ("size", "owner", "feature", "threshold", "left", "right", "counts")
 
-    def new_node(self, class_counts: np.ndarray, nonzero: int) -> int:
-        self.features.append(_LEAF)
-        self.thresholds.append(0.0)
-        self.lefts.append(_LEAF)
-        self.rights.append(_LEAF)
-        self.counts.append(class_counts)
-        self.nnz.append(nonzero)
-        return len(self.features) - 1
+    def __init__(self, capacity: int, n_classes: int) -> None:
+        self.size = 0
+        self.owner = np.empty(capacity, dtype=np.int64)
+        self.feature = np.full(capacity, _LEAF, dtype=np.int64)
+        self.threshold = np.zeros(capacity, dtype=np.float64)
+        self.left = np.full(capacity, _LEAF, dtype=np.int64)
+        self.right = np.full(capacity, _LEAF, dtype=np.int64)
+        self.counts = np.empty((capacity, n_classes), dtype=np.int64)
+
+    def add(self, owners: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        """Append one leaf per entry of *owners*; returns their ids."""
+        start = self.size
+        end = start + len(owners)
+        if end > len(self.owner):
+            self.resize(max(end, 2 * len(self.owner)))
+        self.owner[start:end] = owners
+        self.counts[start:end] = counts
+        self.size = end
+        return np.arange(start, end)
+
+    def resize(self, capacity: int) -> None:
+        """Reallocate to *capacity* rows, keeping the filled ones."""
+        n = min(self.size, capacity)
+        for name, fill in (
+            ("owner", None), ("feature", _LEAF), ("threshold", 0.0),
+            ("left", _LEAF), ("right", _LEAF), ("counts", None),
+        ):
+            old = getattr(self, name)
+            shape = (capacity,) + old.shape[1:]
+            new = np.empty(shape, old.dtype) if fill is None else np.full(shape, fill, old.dtype)
+            new[:n] = old[:n]
+            setattr(self, name, new)
+
+
+def _class_totals(counts: np.ndarray) -> np.ndarray:
+    """Sums over the last (class) axis of integer counts.
+
+    Column adds instead of ``.sum(axis=-1)``: the reduction's per-row
+    dispatch dominates at three classes, and integer sums are exact in
+    any order.
+    """
+    totals = counts[..., 0].astype(np.int64)
+    for c in range(1, counts.shape[-1]):
+        totals += counts[..., c]
+    return totals
+
+
+def _square_sum(fractions: np.ndarray) -> np.ndarray:
+    """Row sums of squared class fractions, ``(lanes, C) -> (lanes,)``.
+
+    Three classes (the learner's shape) are added left to right, the
+    order NumPy sums a length-3 axis in, so the result is bit-identical
+    to ``.sum(axis=1)`` without the reduction's dispatch cost.
+    """
+    squares = fractions**2
+    if squares.shape[1] == 3:
+        return squares[:, 0] + squares[:, 1] + squares[:, 2]
+    return squares.sum(axis=1)
 
 
 def _grow_forest_batched(
@@ -79,7 +114,7 @@ def _grow_forest_batched(
     min_samples_split: int,
     min_samples_leaf: int,
     max_features,
-) -> list[tuple[list, list, list, list, list, np.ndarray]]:
+) -> tuple[_NodeArrays, np.ndarray, np.ndarray]:
     """Grow every tree of the committee simultaneously, bit-identically.
 
     Each round pops ONE pending node from every tree's DFS stack and
@@ -89,8 +124,8 @@ def _grow_forest_batched(
     :meth:`HistogramTreeClassifier.fit_binned` (and therefore the
     exact-sort reference) would produce tree by tree; batching only
     amortises the per-node numpy dispatch overhead across the
-    committee. Returns per-tree ``(features, thresholds, lefts,
-    rights, counts, importances)``.
+    committee. Returns the committee's node arrays, the root id of
+    every tree and the per-tree raw importances ``(n_trees, n_feat)``.
     """
     codes_t = np.ascontiguousarray(binned.codes.T).astype(np.int64)
     bins_per_feat = np.array([len(v) for v in binned.bin_values], dtype=np.intp)
@@ -116,48 +151,51 @@ def _grow_forest_batched(
     bins_arange = np.arange(n_bins)
     row_base = n_bins * C * k
 
-    states = [
-        _TreeState(np.random.default_rng(seed), sample, y, n_feat, C)
-        for sample, seed in zip(samples, seeds)
+    n_trees = len(samples)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    n_total = np.array([len(sample) for sample in samples], dtype=np.int64)
+    nodes = _NodeArrays(16 * n_trees, C)
+    root_counts = np.stack([np.bincount(y[sample], minlength=C) for sample in samples])
+    roots = nodes.add(np.arange(n_trees), root_counts)
+    def splittable(sizes: np.ndarray, nnz: np.ndarray, depth) -> np.ndarray:
+        # the reference's leaf checks; purity (nnz <= 1) implies parent
+        # gini exactly 0, and nnz >= 2 implies gini > 0 in float64, so
+        # this is also its gini <= 0 bailout. Leaves draw no RNG, so
+        # never stacking them keeps every tree's draw order intact.
+        ok = (sizes >= min_samples_split) & (nnz > 1)
+        if max_depth is not None:
+            ok &= depth < max_depth
+        return ok
+
+    # DFS stacks of (node, GLOBAL row ids into the shared binned
+    # matrix, depth), holding splittable nodes only
+    root_ok = splittable(
+        n_total, _class_totals(root_counts != 0), np.zeros(n_trees, dtype=np.int64)
+    ).tolist()
+    stacks: list[list[tuple[int, np.ndarray, int]]] = [
+        [(root, sample, 0)] if ok else []
+        for root, sample, ok in zip(roots.tolist(), samples, root_ok)
     ]
-    pending = list(states)
-    b_arange_all = np.arange(len(states))
+    imp_trees: list[np.ndarray] = []
+    imp_feats: list[np.ndarray] = []
+    imp_vals: list[np.ndarray] = []
+    pending = list(range(n_trees))
     arange_cache = np.arange(0, dtype=np.int64)
-    # empty leading bins divide by a zero left size; those lanes are
-    # masked as invalid before any value is consumed
-    old_err = np.seterr(divide="ignore", invalid="ignore")
-    while pending:
-        if any(not st.stack for st in pending):
-            pending = [st for st in pending if st.stack]
-        active: list[tuple[_TreeState, int, np.ndarray, int, np.ndarray]] = []
-        cands: list[np.ndarray] = []
-        for st in pending:
-            # drain leaves eagerly: the leaf gate draws no RNG, so
-            # popping past them keeps the per-tree draw order intact
-            # while guaranteeing every member contributes one real
-            # split search per round
-            while st.stack:
-                node, idx, depth = st.stack.pop()
-                # purity (nnz <= 1) implies parent gini exactly 0, and
-                # nnz >= 2 implies gini > 0 in float64 — so this gate
-                # is the reference's leaf checks AND its gini <= 0
-                # bailout
-                if (
-                    len(idx) < min_samples_split
-                    or (max_depth is not None and depth >= max_depth)
-                    or st.nnz[node] <= 1
-                ):
-                    continue
-                cands.append(
-                    st.rng.permutation(n_feat)[:k] if k < n_feat else all_features
-                )
-                active.append((st, node, idx, depth, st.counts[node]))
-                break
-        if not active:
-            continue
-        B = len(active)
-        counts_mat = np.concatenate([m[4] for m in active]).reshape(B, C)
-        sizes = np.array([len(m[2]) for m in active], dtype=np.int64)
+    while True:
+        # one node per tree with work left, popped in its DFS order
+        pending = [t for t in pending if stacks[t]]
+        if not pending:
+            break
+        act_trees = pending
+        act_nodes, act_idx, act_depths = zip(*[stacks[t].pop() for t in pending])
+        if k < n_feat:
+            cands = [rngs[t].permutation(n_feat)[:k] for t in pending]
+        else:
+            cands = [all_features] * len(pending)
+        B = len(act_nodes)
+        node_arr = np.array(act_nodes, dtype=np.int64)
+        counts_mat = nodes.counts[node_arr]
+        sizes = np.array([len(idx) for idx in act_idx], dtype=np.int64)
         parent_gini = 1.0 - ((counts_mat / sizes[:, None]) ** 2).sum(axis=1)
 
         cand_mat = np.concatenate(cands).reshape(B, k)
@@ -169,13 +207,13 @@ def _grow_forest_batched(
         # row-major pair layout: row r of the round owns pair slots
         # r*k .. r*k+k-1, one per candidate — all pair arrays are built
         # with round-level repeats, no per-member loop
-        idx_cat = np.concatenate([m[2] for m in active])
+        idx_cat = np.concatenate(act_idx)
         total_rows = len(idx_cat)
         if arange_cache.size < total_rows:
             arange_cache = np.arange(
                 max(total_rows, 2 * arange_cache.size), dtype=np.int64
             )
-        row_member = np.repeat(b_arange_all[:B], sizes)
+        row_member = np.repeat(arange_cache[:B], sizes)
         row_starts = np.empty(B + 1, dtype=np.int64)
         row_starts[0] = 0
         np.cumsum(sizes, out=row_starts[1:])
@@ -196,7 +234,7 @@ def _grow_forest_batched(
         flat += hist_codes.reshape(-1, k) * C
         hist = np.bincount(flat.ravel(), minlength=B * row_base).reshape(B, k, n_bins, C)
         cum = hist.cumsum(axis=2)  # (B, k, bins, C) left class counts
-        bin_totals = hist.sum(axis=3)
+        bin_totals = _class_totals(hist)
         left_sizes = bin_totals.cumsum(axis=2)
         nb = sizes[:, None, None]
         if msl > 1:
@@ -212,16 +250,23 @@ def _grow_forest_batched(
             valid = (bin_totals > 0) & (left_sizes < nb)
         if any_large:
             valid &= ~slot_large[:, :, None]
-        # invalid lanes (zero left/right sizes) divide to nan/inf and
-        # are overwritten below; valid lanes divide by positive sizes,
-        # so their float64 values match the reference exactly
-        right_sizes = nb - left_sizes
-        gini_left = 1.0 - ((cum / left_sizes[..., None]) ** 2).sum(axis=3)
-        right_counts = counts_mat[:, None, None, :] - cum
-        gini_right = 1.0 - ((right_counts / right_sizes[..., None]) ** 2).sum(axis=3)
-        weighted = (left_sizes * gini_left + right_sizes * gini_right) / nb
-        gains = parent_gini[:, None, None] - weighted
-        gains = np.where(valid, gains, -np.inf)
+        # score the valid lanes only: both children of a valid lane are
+        # non-empty, so no lane divides by zero, and each lane's float64
+        # operations are the reference's for that boundary
+        lanes = np.flatnonzero(valid)
+        lane_member = lanes // (k * n_bins)
+        lane_n = sizes[lane_member]
+        lane_left = left_sizes.ravel()[lanes]
+        lane_right = lane_n - lane_left
+        left_counts = cum.reshape(-1, C)[lanes]
+        gini_left = 1.0 - _square_sum(left_counts / lane_left[:, None])
+        right_counts = counts_mat[lane_member] - left_counts
+        gini_right = 1.0 - _square_sum(right_counts / lane_right[:, None])
+        gains = np.full(B * k * n_bins, -np.inf)
+        gains[lanes] = parent_gini[lane_member] - (
+            lane_left * gini_left + lane_right * gini_right
+        ) / lane_n
+        gains = gains.reshape(B, k, n_bins)
         bb = gains.argmax(axis=2)  # (B, k) first-max bin per slot
         slot_best = gains.max(axis=2)
 
@@ -238,15 +283,17 @@ def _grow_forest_batched(
                 hist_f = np.bincount(
                     inverse * C + y_cat[s0:s1], minlength=present.size * C
                 ).reshape(present.size, C)
+                # every present value is non-empty and the last one is
+                # cut, so both sides of every boundary are non-empty
                 cum_f = hist_f.cumsum(axis=0)[:-1]
                 ls = cum_f.sum(axis=1)
                 valid_f = (ls >= msl) & (n - ls >= msl)
                 if not valid_f.any():
                     continue
                 rs = n - ls
-                gl = 1.0 - ((cum_f / ls[:, None]) ** 2).sum(axis=1)
+                gl = 1.0 - _square_sum(cum_f / ls[:, None])
                 rc = counts_mat[b][None, :] - cum_f
-                gr = 1.0 - ((rc / rs[:, None]) ** 2).sum(axis=1)
+                gr = 1.0 - _square_sum(rc / rs[:, None])
                 gains_f = parent_gini[b] - (ls * gl + rs * gr) / n
                 gains_f[~valid_f] = -np.inf
                 pos_f = int(gains_f.argmax())
@@ -256,7 +303,7 @@ def _grow_forest_batched(
         # first slot holding the overall max = the reference's
         # strictly-greater sweep in candidate order
         win = slot_best.argmax(axis=1)
-        b_arange = b_arange_all[:B]
+        b_arange = arange_cache[:B]
         best_gain = slot_best[b_arange, win]
         split_mask = best_gain > 1e-12
         if not split_mask.any():
@@ -280,41 +327,63 @@ def _grow_forest_batched(
         thresholds_arr = 0.5 * (
             values_flat[offs + boundary_arr] + values_flat[offs + after_arr]
         )
-        right_counts_mat = counts_mat - left_counts_mat
-        left_nnz = (left_counts_mat != 0).sum(axis=1)
-        right_nnz = (right_counts_mat != 0).sum(axis=1)
+        # write the round's splits into the node arrays: every left
+        # child, then every right child — a round holds one node per
+        # tree, so each tree still creates left before right, like the
+        # reference's new_node
+        split = np.flatnonzero(split_mask)
+        S = len(split)
+        parents = node_arr[split]
+        owners = np.array(act_trees, dtype=np.int64)[split]
+        child_counts = np.empty((2 * S, C), dtype=np.int64)
+        child_counts[:S] = left_counts_mat[split]
+        np.subtract(counts_mat[split], child_counts[:S], out=child_counts[S:])
+        children = nodes.add(np.concatenate([owners, owners]), child_counts)
+        nodes.feature[parents] = feat_win[split]
+        nodes.threshold[parents] = thresholds_arr[split]
+        nodes.left[parents] = children[:S]
+        nodes.right[parents] = children[S:]
+        imp_trees.append(owners)
+        imp_feats.append(feat_win[split])
+        imp_vals.append(best_gain[split] * sizes[split] / n_total[owners])
+        # partition every member's rows in one pass; a member's left
+        # (right) rows are one contiguous run of left_rows (right_rows)
         pair_of_row = arange_cache[:total_rows] * k + win[row_member]
-        left_mask_cat = codes_pairs[pair_of_row] <= boundary_arr[row_member]
-        right_mask_cat = ~left_mask_cat
-        for b in np.nonzero(split_mask)[0].tolist():
-            st, node, idx, depth, node_counts = active[b]
-            s0, s1 = row_starts[b], row_starts[b + 1]
-            left_idx = idx[left_mask_cat[s0:s1]]
-            right_idx = idx[right_mask_cat[s0:s1]]
-            feature = int(feat_win[b])
-            st.imp_feats.append(feature)
-            st.imp_vals.append(float(best_gain[b]) * len(idx) / st.n_total)
-            st.features[node] = feature
-            st.thresholds[node] = float(thresholds_arr[b])
-            left = st.new_node(left_counts_mat[b], int(left_nnz[b]))
-            right = st.new_node(right_counts_mat[b], int(right_nnz[b]))
-            st.lefts[node] = left
-            st.rights[node] = right
-            st.stack.append((left, left_idx, depth + 1))
-            st.stack.append((right, right_idx, depth + 1))
-    np.seterr(**old_err)
+        goes_left = codes_pairs[pair_of_row] <= boundary_arr[row_member]
+        left_rows = idx_cat[goes_left]
+        right_rows = idx_cat[~goes_left]
+        left_starts = np.zeros(B + 1, dtype=np.int64)
+        np.cumsum(np.bincount(row_member[goes_left], minlength=B), out=left_starts[1:])
+        right_starts = (row_starts - left_starts).tolist()
+        left_starts = left_starts.tolist()
+        depths = np.array(act_depths, dtype=np.int64)[split] + 1
+        grows = splittable(
+            _class_totals(child_counts),
+            _class_totals(child_counts != 0),
+            np.concatenate([depths, depths]),
+        ).tolist()
+        child_ids = children.tolist()
+        for i, b in enumerate(split.tolist()):
+            stack = stacks[act_trees[b]]
+            depth = act_depths[b] + 1
+            if grows[i]:
+                stack.append((child_ids[i], left_rows[left_starts[b]:left_starts[b + 1]], depth))
+            if grows[S + i]:
+                stack.append(
+                    (child_ids[S + i], right_rows[right_starts[b]:right_starts[b + 1]], depth)
+                )
 
-    grown = []
-    for st in states:
-        importances = np.zeros(n_feat, dtype=np.float64)
-        # unbuffered add in split order: identical accumulation
-        # sequence to the reference's per-split in-place adds
-        if st.imp_feats:
-            np.add.at(importances, st.imp_feats, st.imp_vals)
-        grown.append(
-            (st.features, st.thresholds, st.lefts, st.rights, st.counts, importances)
+    nodes.resize(nodes.size)
+    importances = np.zeros((n_trees, n_feat), dtype=np.float64)
+    if imp_trees:
+        # unbuffered adds in split order: per tree, the identical
+        # accumulation sequence to the reference's per-split adds
+        np.add.at(
+            importances,
+            (np.concatenate(imp_trees), np.concatenate(imp_feats)),
+            np.concatenate(imp_vals),
         )
-    return grown
+    return nodes, roots, importances
 
 
 class RandomForestClassifier:
@@ -456,16 +525,21 @@ class HistogramForestClassifier(RandomForestClassifier):
 
     * **fit** bins the training matrix once (losslessly — one bin per
       distinct value) and grows every tree from the shared binned
-      matrix, bootstrapping by row index; each tree is a
-      :class:`~repro.ml.tree.HistogramTreeClassifier` whose fused
-      histogram split search replays the exact CART bit for bit
-      (including the RNG stream, so the bootstrap samples, feature
-      subsets, and grown trees are *identical* to the reference's).
-    * **vote_fractions** walks all trees over the batch simultaneously:
-      the committee's node arrays are packed into one arena and a
-      single ``(tree, row)`` state matrix descends level-synchronously,
-      with votes accumulated by one ``bincount`` — instead of one
-      Python-level walk per tree.
+      matrix, bootstrapping by row index, with the fused histogram
+      split search of :class:`~repro.ml.tree.HistogramTreeClassifier`
+      batched across the committee. It replays the exact CART bit for
+      bit (including the RNG stream, so the bootstrap samples, feature
+      subsets, and grown trees are *identical* to the reference's),
+      and writes every node straight into one set of per-committee
+      node arrays.
+    * **vote_fractions** walks all trees over the batch simultaneously
+      through those node arrays: a single ``(tree, row)`` state matrix
+      descends level-synchronously, with votes accumulated by one
+      ``bincount`` — instead of one Python-level walk per tree.
+
+    :attr:`trees` cuts per-tree :class:`HistogramTreeClassifier` views
+    out of the node arrays on demand (for inspection and parity
+    checks); predictions never build them.
     """
 
     def fit(
@@ -499,7 +573,7 @@ class HistogramForestClassifier(RandomForestClassifier):
             # same RNG draw order as the reference: sample, then seed
             samples.append(self._rng.integers(0, n, size=sample_size))
             seeds.append(self._rng.integers(0, 2**32 - 1))
-        grown = _grow_forest_batched(
+        self._nodes, self._roots, self._importances = _grow_forest_batched(
             binned,
             y,
             samples,
@@ -510,10 +584,26 @@ class HistogramForestClassifier(RandomForestClassifier):
             self.min_samples_leaf,
             self.max_features,
         )
-        self._trees = []
-        for seed, (features, thresholds, lefts, rights, counts, importances) in zip(
-            seeds, grown
-        ):
+        self._seeds = seeds
+        self.n_features_ = binned.n_features
+        # per-node majority label: argmax over the same proba rows the
+        # per-tree reference argmaxes at its reached leaves
+        self._label = np.argmax(leaf_proba(self._nodes.counts), axis=1)
+        self._fitted = True
+        return self
+
+    @property
+    def trees(self) -> list[HistogramTreeClassifier]:
+        """Per-tree views of the committee, numbered like the reference."""
+        if not self._fitted:
+            raise NotFittedError("RandomForestClassifier used before fit")
+        nodes = self._nodes
+        local = np.empty(nodes.size, dtype=np.int64)
+        trees = []
+        for t, seed in enumerate(self._seeds):
+            ids = np.flatnonzero(nodes.owner == t)
+            local[ids] = np.arange(len(ids))
+            leaf = nodes.feature[ids] == _LEAF
             tree = HistogramTreeClassifier(
                 max_depth=self.max_depth,
                 min_samples_leaf=self.min_samples_leaf,
@@ -521,34 +611,26 @@ class HistogramForestClassifier(RandomForestClassifier):
                 random_state=seed,
             )
             tree._finalize(
-                features, thresholds, lefts, rights, counts, importances,
-                n_features=binned.n_features, n_classes=self.n_classes_,
+                nodes.feature[ids],
+                nodes.threshold[ids],
+                np.where(leaf, _LEAF, local[nodes.left[ids]]),
+                np.where(leaf, _LEAF, local[nodes.right[ids]]),
+                nodes.counts[ids],
+                self._importances[t].copy(),
+                n_features=self.n_features_,
+                n_classes=self.n_classes_,
             )
-            self._trees.append(tree)
-        self._fitted = True
-        self._pack()
-        return self
+            trees.append(tree)
+        return trees
 
-    def _pack(self) -> None:
-        """Concatenate the committee's node arrays into one walk arena."""
-        sizes = np.array([tree.node_count for tree in self._trees], dtype=np.int64)
-        offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-        self._arena_roots = offsets
-        self._arena_feature = np.concatenate([t._feature for t in self._trees])
-        self._arena_threshold = np.concatenate([t._threshold for t in self._trees])
-        # child pointers are tree-local; rebase them into the arena
-        # (leaf sentinels get rebased too, but leaves are never walked)
-        self._arena_left = np.concatenate(
-            [t._left + off for t, off in zip(self._trees, offsets)]
-        )
-        self._arena_right = np.concatenate(
-            [t._right + off for t, off in zip(self._trees, offsets)]
-        )
-        # per-node majority label: argmax over the same proba rows the
-        # per-tree reference argmaxes at its reached leaves
-        self._arena_label = np.concatenate(
-            [np.argmax(t._proba, axis=1) for t in self._trees]
-        )
+    @property
+    def feature_importances_(self) -> np.ndarray:
+        """Mean normalised impurity-decrease importance per feature."""
+        if not self._fitted:
+            raise NotFittedError("RandomForestClassifier used before fit")
+        return np.vstack(
+            [normalised_importances(row.copy()) for row in self._importances]
+        ).mean(axis=0)
 
     def vote_fractions(self, X: np.ndarray) -> np.ndarray:
         """Fraction of committee members voting each class, ``(n, C)``.
@@ -570,21 +652,17 @@ class HistogramForestClassifier(RandomForestClassifier):
                     for i in range(0, n, _VOTE_CHUNK_ROWS)
                 ]
             )
-        n_trees = len(self._trees)
-        states = np.repeat(self._arena_roots[:, None], n, axis=1)  # (T, n)
+        nodes = self._nodes
+        n_trees = len(self._roots)
+        states = np.repeat(self._roots[:, None], n, axis=1)  # (T, n)
         rows = np.broadcast_to(np.arange(n)[None, :], (n_trees, n))
-        active = self._arena_feature[states] != _LEAF
+        active = nodes.feature[states] != _LEAF
         while active.any():
             current = states[active]
-            go_left = (
-                X[rows[active], self._arena_feature[current]]
-                <= self._arena_threshold[current]
-            )
-            states[active] = np.where(
-                go_left, self._arena_left[current], self._arena_right[current]
-            )
-            active = self._arena_feature[states] != _LEAF
-        labels = self._arena_label[states]  # (T, n)
+            go_left = X[rows[active], nodes.feature[current]] <= nodes.threshold[current]
+            states[active] = np.where(go_left, nodes.left[current], nodes.right[current])
+            active = nodes.feature[states] != _LEAF
+        labels = self._label[states]  # (T, n)
         flat = rows.ravel() * self.n_classes_ + labels.ravel()
         votes = np.bincount(flat, minlength=n * self.n_classes_)
         return votes.reshape(n, self.n_classes_).astype(np.float64) / n_trees

@@ -26,6 +26,22 @@ _LEAF = -1
 _HIST_MAX_BINS = 256
 
 
+def leaf_proba(counts: np.ndarray) -> np.ndarray:
+    """Per-node class frequencies from integer class counts ``(N, C)``."""
+    count_matrix = counts.astype(np.float64)
+    totals = count_matrix.sum(axis=1, keepdims=True)
+    totals[totals == 0.0] = 1.0
+    return count_matrix / totals
+
+
+def normalised_importances(importances: np.ndarray) -> np.ndarray:
+    """Scale raw impurity decreases to sum to one, in place."""
+    total_importance = importances.sum()
+    if total_importance > 0.0:
+        importances /= total_importance
+    return importances
+
+
 def _resolve_max_features(max_features, n_features: int) -> int:
     if max_features is None:
         return n_features
@@ -172,14 +188,8 @@ class DecisionTreeClassifier:
         self._threshold = np.array(thresholds, dtype=np.float64)
         self._left = np.array(lefts, dtype=np.int64)
         self._right = np.array(rights, dtype=np.int64)
-        count_matrix = np.vstack(counts).astype(np.float64)
-        totals = count_matrix.sum(axis=1, keepdims=True)
-        totals[totals == 0.0] = 1.0
-        self._proba = count_matrix / totals
-        total_importance = importances.sum()
-        if total_importance > 0.0:
-            importances /= total_importance
-        self._importances = importances
+        self._proba = leaf_proba(np.vstack(counts))
+        self._importances = normalised_importances(importances)
         self._fitted = True
 
     def _best_split(self, X, y, idx, k):

@@ -173,7 +173,8 @@ class TestRestoreErrors:
 
 
 class TestOldSessionFiles:
-    """Session files written before the ``shards`` knob was removed."""
+    """Session files of older formats: before the ``shards`` knob was
+    removed (format 1) and before committees became node arrays (2)."""
 
     def test_format_1_checkpoint_fails_with_config_error(
         self, figure1_dirty, figure1_clean, figure1_rules, tmp_path
@@ -186,7 +187,24 @@ class TestOldSessionFiles:
         payload["format"] = 1
         payload["config"]["shards"] = 0
         cp.write_bytes(pickle.dumps(payload))
-        with pytest.raises(ConfigError, match="has format 1, expected 2"):
+        with pytest.raises(ConfigError, match="has format 1, expected 3"):
+            GDREngine.restore(
+                cp, figure1_rules, GroundTruthOracle(figure1_clean), figure1_clean
+            )
+
+    def test_format_2_checkpoint_fails_with_config_error(
+        self, figure1_dirty, figure1_clean, figure1_rules, tmp_path
+    ):
+        """Format 2 pickled committees as per-tree objects; restoring
+        one must fail up front, not at the first prediction."""
+        engine = make_engine(figure1_dirty, figure1_clean, figure1_rules, tmp_path)
+        cp = tmp_path / "session.cp"
+        engine.checkpoint(cp)
+        engine.detach()
+        payload = pickle.loads(cp.read_bytes())
+        payload["format"] = 2
+        cp.write_bytes(pickle.dumps(payload))
+        with pytest.raises(ConfigError, match="has format 2, expected 3"):
             GDREngine.restore(
                 cp, figure1_rules, GroundTruthOracle(figure1_clean), figure1_clean
             )

@@ -21,6 +21,7 @@ from repro.core import (
 )
 from repro.datasets import load_dataset
 from repro.repair import (
+    CandidateUpdate,
     ConsistencyManager,
     Feedback,
     RepairState,
@@ -115,6 +116,18 @@ class TestCacheParity:
         reference = estimator.rank_groups(group_updates(state.updates()), row_probability)
         assert [(g.key, b) for g, b in cached] == [(g.key, b) for g, b in reference]
 
+    def test_rescored_suggestion_takes_its_new_prior(self, substrate):
+        """A suggestion replaced by the same value at another score keeps
+        its tuple in the group, but its score prior is a new p̃."""
+        __, db, detector, state, index, __, __, estimator = substrate
+        cache = GroupBenefitCache(estimator, index, detector, db)
+        cache.rank_all(_score_probability)
+        update = next(g for g in index.groups() if g.size > 1).updates[0]
+        state.put(CandidateUpdate(update.tid, update.attribute, update.value, update.score / 2))
+        cached = cache.rank_all(_score_probability)
+        reference = estimator.rank_groups(group_updates(state.updates()), _score_probability)
+        assert [(g.key, b) for g, b in cached] == [(g.key, b) for g, b in reference]
+
     def test_external_write_parity(self, substrate):
         ds, db, detector, state, index, __, manager, estimator = substrate
         cache = GroupBenefitCache(estimator, index, detector, db)
@@ -202,3 +215,51 @@ class TestRefreshCounters:
         assert cache["prob_memo_hits"] + cache["prob_memo_misses"] > 0
         assert cache["prob_vectors_reused"] > 0
         assert cache["updates_rescored"] >= cache["groups_rescored"] >= cache["refreshes"] > 0
+
+
+class TestProbVectorCauses:
+    """Stored p̃ vectors are re-predicted only where an input moved, and
+    ``stats`` counts each predicted value by its cause."""
+
+    @staticmethod
+    def _delta(before, after):
+        causes = ("prob_predicted_model", "prob_predicted_row", "prob_predicted_new")
+        return {c[len("prob_predicted_"):]: after[c] - before[c] for c in causes}
+
+    def test_a_write_or_a_refit_predicts_only_what_moved(self):
+        ds = load_dataset("hospital", n=80, seed=5)
+        engine = GDREngine(
+            ds.fresh_dirty(),
+            ds.rules,
+            GroundTruthOracle(ds.clean),
+            GDRConfig.gdr(seed=2, min_examples=2),
+        )
+        engine.run(feedback_limit=15, drain=False)
+        cache, index, learner = engine.benefit_cache, engine.group_index, engine.learner
+        cache.refresh(engine.probability)
+        assert cache.refresh(engine.probability) == 0
+
+        # a written row: only that tuple's suggestions are predicted
+        tid = index.group(index.keys()[0]).updates[0].tid
+        attribute = engine.db.schema.attributes[0]
+        current = engine.db.values_snapshot(tid)[0]
+        other = next(v for v in sorted(engine.db.domain(attribute), key=str) if v != current)
+        before = cache.stats
+        engine.db.set_value(tid, attribute, other)
+        cache.refresh(engine.probability)
+        after = cache.stats
+        assert self._delta(before, after) == {
+            "model": 0, "row": len(index.keys_for_tid(tid)), "new": 0
+        }
+
+        # a refit: every member of that attribute's groups is predicted
+        fitted = next(k[0] for k in index.keys() if learner.model_version(k[0]) > 0)
+        update = index.group(next(k for k in index.keys() if k[0] == fitted)).updates[0]
+        learner.add_example(update, engine.db.values_snapshot(update.tid), Feedback.CONFIRM)
+        assert learner.retrain(fitted)
+        members = sum(index.size(k) for k in index.keys() if k[0] == fitted)
+        before = after
+        cache.refresh(engine.probability)
+        after = cache.stats
+        assert self._delta(before, after) == {"model": members, "row": 0, "new": 0}
+        assert after["prob_memo_hits"] == before["prob_memo_hits"]

@@ -7,7 +7,10 @@ stored ``p̃`` vectors. Neither may ever show: after every step of a
 random interaction — user feedback, external writes, learner refits,
 inserts, deletes and detector rebuilds — ``rank_all`` must equal, float
 for float, a *fresh* estimator over a provider that offers nothing but
-the dense ``what_if_many`` (no probe keys, no memo of any kind).
+the dense ``what_if_many`` (no probe keys, no memo of any kind), and
+every stored ``p̃`` vector must equal fresh committee predictions for
+its group's members — for the keyed groups of the GDR preset and for
+the attribute-spanning ``*`` group of ungrouped active learning.
 
 The invariant guard cannot stand in for this test: its reference
 ranking shares the live estimator, so a stale key would agree with
@@ -44,13 +47,23 @@ class DenseOnlyStats:
 _KINDS = (Feedback.CONFIRM, Feedback.REJECT, Feedback.RETAIN)
 
 
-def _engine(dataset: str, n: int):
+#: A grouped preset, and the ungrouped one whose single ``*`` group
+#: spans attributes (ranked by VOI here, so the benefit cache runs).
+_PRESETS = {
+    "gdr": lambda: GDRConfig.gdr(seed=1, min_examples=2),
+    "active_learning": lambda: GDRConfig.active_learning(
+        seed=1, min_examples=2, ranking="voi"
+    ),
+}
+
+
+def _engine(dataset: str, n: int, preset: str = "gdr"):
     ds = load_dataset(dataset, n=n, seed=3)
     return GDREngine(
         ds.fresh_dirty(),
         ds.rules,
         GroundTruthOracle(ds.clean),
-        GDRConfig.gdr(seed=1, min_examples=2),
+        _PRESETS[preset](),
     )
 
 
@@ -61,6 +74,21 @@ def _assert_parity(engine) -> None:
         engine.group_index.groups(), engine.probability
     )
     assert [(g.key, b) for g, b in cached] == [(g.key, b) for g, b in reference]
+    _assert_stored_probabilities(engine)
+
+
+def _assert_stored_probabilities(engine) -> None:
+    """After a refresh every live group holds a p̃ vector for exactly
+    its members, equal to fresh committee confirm fractions."""
+    index = engine.group_index
+    stored = engine.benefit_cache._group_probs
+    assert set(stored) == set(index.keys())
+    for key, vector in stored.items():
+        members = index.group(key).updates
+        assert vector.members == members
+        rows = [engine.db.values_snapshot(u.tid) for u in members]
+        fresh = [p.confirm_probability for p in engine.learner.predict_many(members, rows)]
+        assert vector.probs.tolist() == fresh
 
 
 def _feedback(engine, a: int, b: int) -> None:
@@ -103,8 +131,8 @@ def _delete(engine, a: int) -> None:
     db.delete(tid)
 
 
-def _run(dataset: str, n: int, steps) -> None:
-    engine = _engine(dataset, n)
+def _run(dataset: str, n: int, steps, preset: str = "gdr") -> None:
+    engine = _engine(dataset, n, preset)
     _assert_parity(engine)
     for op, a, b in steps:
         if op == "feedback":
@@ -144,10 +172,27 @@ def test_cached_ranking_equals_fresh_dense_reference(dataset, n, steps):
     _run(dataset, n, steps)
 
 
+@pytest.mark.parametrize("dataset,n", [("hospital", 60), ("adult", 80)])
+@_SETTINGS
+@given(steps=st.lists(_STEP, min_size=1, max_size=14))
+def test_ungrouped_ranking_equals_fresh_dense_reference(dataset, n, steps):
+    _run(dataset, n, steps, preset="active_learning")
+
+
 def test_deterministic_churn_keeps_parity_and_reprobes_moved_keys():
     """A fixed run of feedback, writes and refits: parity after every
     step, and the key table re-probes keys whose partitions moved."""
-    engine = _engine("hospital", 60)
+    _deterministic_churn("gdr")
+
+
+def test_deterministic_churn_keeps_ungrouped_parity():
+    """The same run on the ``*`` group: refits of one attribute's
+    committee must re-predict exactly its members."""
+    _deterministic_churn("active_learning")
+
+
+def _deterministic_churn(preset: str) -> None:
+    engine = _engine("hospital", 60, preset)
     _assert_parity(engine)
     for i in range(30):
         if i % 3 == 2:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError, NotFittedError
-from repro.ml import RandomForestClassifier
+from repro.ml import HistogramForestClassifier, RandomForestClassifier
 
 
 def _blobs(n=120, seed=0):
@@ -105,3 +105,43 @@ class TestVotesAndUncertainty:
         forest = RandomForestClassifier(n_estimators=10, random_state=0).fit(X, y)
         assert float(np.mean(forest.predict(X) == y)) > 0.9
         assert forest.vote_fractions(X).shape == (90, 3)
+
+
+class TestFloatingPointState:
+    """The histogram grower scores only valid split lanes, so it needs no
+    process-wide ``np.seterr`` toggle, and a failed fit leaves the
+    floating-point error state as it found it."""
+
+    def _data(self):
+        rng = np.random.default_rng(12)
+        X = rng.integers(0, 9, size=(90, 6)).astype(float)
+        X[:, -1] = rng.random(90).round(2)
+        return X, rng.integers(0, 3, size=90)
+
+    @pytest.mark.parametrize("min_samples_leaf", [1, 2])
+    def test_fit_completes_with_every_fp_error_raising(self, min_samples_leaf):
+        X, y = self._data()
+        kw = dict(n_estimators=6, min_samples_leaf=min_samples_leaf, random_state=4)
+        with np.errstate(all="raise"):
+            strict = HistogramForestClassifier(**kw).fit(X, y, n_classes=3)
+            votes = strict.vote_fractions(X)
+        relaxed = HistogramForestClassifier(**kw).fit(X, y, n_classes=3)
+        assert np.array_equal(votes, relaxed.vote_fractions(X))
+
+    def test_failed_fit_leaves_the_error_state_unchanged(self, monkeypatch):
+        X, y = self._data()
+        before = np.geterr()
+        bincount = np.bincount
+        calls = []
+
+        def failing_bincount(*args, **kwargs):
+            calls.append(None)
+            if len(calls) > 20:  # past the roots, inside the rounds
+                raise MemoryError("injected")
+            return bincount(*args, **kwargs)
+
+        monkeypatch.setattr(np, "bincount", failing_bincount)
+        with pytest.raises(MemoryError):
+            HistogramForestClassifier(n_estimators=6, random_state=4).fit(X, y, n_classes=3)
+        assert len(calls) > 20
+        assert np.geterr() == before

@@ -161,6 +161,69 @@ class TestForestParity:
             assert ua == ub
 
 
+def learner_matrix(rng, n):
+    """The learner's shape: 12 dictionary-code columns (11 tuple values
+    and the suggested value) plus one similarity float."""
+    X = np.column_stack(
+        [rng.integers(0, int(rng.integers(2, 40)), size=n) for __ in range(12)]
+        + [rng.random(n).round(2)]
+    ).astype(float)
+    return X
+
+
+def assert_committees_identical(exact, hist, X, Xq):
+    assert len(exact.trees) == len(hist.trees)
+    for ta, tb in zip(exact.trees, hist.trees):
+        assert_trees_identical(ta, tb)
+    for probe in (X, Xq):
+        assert np.array_equal(exact.vote_fractions(probe), hist.vote_fractions(probe))
+        assert np.array_equal(exact.uncertainty(probe), hist.uncertainty(probe))
+    assert np.array_equal(exact.feature_importances_, hist.feature_importances_)
+
+
+class TestForestParitySweep:
+    """Every branch of the batched grower against the exact reference:
+    class counts (the three-class fast sum and the generic one), the
+    ``min_samples_leaf > 1`` valid mask, depth limits, feature
+    subsampling and node sizes from a handful of rows to well past the
+    loop's typical fit."""
+
+    @pytest.mark.parametrize("trial", range(27))
+    def test_randomized_committees_identical(self, trial):
+        rng = np.random.default_rng(7000 + trial)
+        C = (2, 3, 5)[trial % 3]
+        kw = dict(
+            min_samples_leaf=(1, 2, 3)[(trial // 3) % 3],
+            max_depth=(None, 3, 12)[(trial // 9) % 3],
+            max_features=("sqrt", None, 2)[(trial + trial // 3) % 3],
+        )
+        n = int(rng.integers(5, 251))
+        X = learner_matrix(rng, n)
+        y = rng.integers(0, C, size=n)
+        Xq = learner_matrix(rng, 50)
+        exact = RandomForestClassifier(n_estimators=6, random_state=trial, **kw).fit(
+            X, y, n_classes=C
+        )
+        hist = HistogramForestClassifier(n_estimators=6, random_state=trial, **kw).fit(
+            X, y, n_classes=C
+        )
+        assert_committees_identical(exact, hist, X, Xq)
+
+    @pytest.mark.parametrize("min_samples_leaf", [1, 3])
+    def test_high_cardinality_column_in_a_committee(self, min_samples_leaf):
+        # > _HIST_MAX_BINS distinct similarity values: the committee's
+        # node-compact path, next to fused-histogram columns
+        rng = np.random.default_rng(31)
+        X = learner_matrix(rng, 400)
+        X[:, -1] = rng.random(400)
+        assert len(np.unique(X[:, -1])) > 256
+        y = rng.integers(0, 3, size=400)
+        kw = dict(n_estimators=4, max_depth=8, min_samples_leaf=min_samples_leaf, max_features=None)
+        exact = RandomForestClassifier(random_state=3, **kw).fit(X, y, n_classes=3)
+        hist = HistogramForestClassifier(random_state=3, **kw).fit(X, y, n_classes=3)
+        assert_committees_identical(exact, hist, X, learner_matrix(rng, 50))
+
+
 class TestVectorizedUncertainty:
     def test_matches_scalar_vote_entropy(self):
         rng = np.random.default_rng(11)
