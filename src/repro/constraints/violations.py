@@ -1331,11 +1331,12 @@ class ViolationDetector:
         """Monotone counter over the detector's observable statistics.
 
         Moves whenever any rule's violation/context statistics may have
-        changed (writes that moved stats, inserts, deletes, rebuilds).
-        Consumers caching decisions derived from the *whole* statistics
-        state — e.g. the update generator's cross-batch decision memo —
-        stamp entries with ``(db.version, stats_epoch)`` and drop them
-        when either moves.
+        changed (writes that moved stats, inserts, deletes, rebuilds) —
+        the coarsest staleness stamp the detector offers. Finer-grained
+        consumers stamp against :meth:`rule_stats_version`,
+        :attr:`partition_tick` or :attr:`rebuild_epoch` instead (the
+        update generator's decision memo survives writes: it evicts on
+        the write itself and clears only on a rebuild epoch move).
         """
         return self._epoch
 
@@ -1459,7 +1460,21 @@ class ViolationDetector:
         Read off the tracker's per-tuple violated-state mask, in rule
         order, without probing every rule state.
         """
-        mask = self._tracker.mask(tid)
+        return self.rules_in_mask(self._tracker.mask(tid))
+
+    def violation_masks(self) -> Mapping[int, int]:
+        """Per-tuple violated-rule bitmasks — the live map, **read only**.
+
+        Bit ``i`` is set while the tuple violates the ``i``-th rule of
+        the rule set; clean tuples are absent. The map is replaced by a
+        rebuild, so callers look it up afresh per pass. For hot loops
+        that bucket tuples by their violated-rule set (the suggestion
+        engine) without building a rule list per tuple.
+        """
+        return self._tracker._masks
+
+    def rules_in_mask(self, mask: int) -> list[CFD]:
+        """The rules of a :meth:`violation_masks` bitmask, in rule order."""
         states = self._states
         rules = []
         while mask:
@@ -1503,20 +1518,20 @@ class ViolationDetector:
             return state.group_value_counts(tid)
         return {}
 
-    def partition_key(self, tid: int, rule: CFD):
-        """*tid*'s LHS partition key under a variable rule.
+    def partition_counts(self, rule: CFD, key: tuple) -> dict[object, int]:
+        """RHS value histogram of the partition with LHS values *key*.
 
-        ``None`` when the tuple is outside the rule's context (or the
-        rule is constant). Two tuples with equal keys share one
-        partition, hence one :meth:`group_value_counts` histogram — the
+        Empty when *rule* is constant or no context tuple carries those
+        LHS values. The same histogram :meth:`group_value_counts` reads
+        for a member tuple, addressed by the partition itself — the
         handle the suggestion engine memoises scenario-2 pools on.
         """
         state = self._state_by_rule[rule]
         if isinstance(state, _VariableRuleState):
-            entry = state.membership.get(tid)
-            if entry is not None:
-                return entry[0]
-        return None
+            group = state.groups.get(key)
+            if group is not None:
+                return {value: len(bucket) for value, bucket in group.members.items()}
+        return {}
 
     def group_members(self, tid: int, rule: CFD) -> set[int]:
         """All tuples sharing *tid*'s LHS partition under a variable rule."""

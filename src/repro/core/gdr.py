@@ -624,8 +624,11 @@ class GDREngine:
         keys mirror the component names (``sim`` →
         ``SimilarityCache.stats``, ``cache`` →
         ``GroupBenefitCache.stats``, ``voi`` → the probe-key table's
-        ``DeltaKeyCache.stats``, ``guard`` → tick/audit/incident
-        counters plus the structured incident records, ``journal`` →
+        ``DeltaKeyCache.stats``, ``generator`` →
+        ``UpdateGenerator.stats`` (the witness, scenario-2 and decision
+        memos: sizes, hits, misses, and the decision memo's evictions on
+        writes that moved a pool and wholesale clears by cause),
+        ``guard`` → tick/audit/incident counters plus the structured incident records, ``journal`` →
         path and sequence, ``faults`` → the registered fault points
         (from the machine-readable ``FAULT_POINT_REGISTRY``) and
         whichever are currently armed).
@@ -636,6 +639,7 @@ class GDREngine:
             "sim": dict(self.sim_cache.stats),
             "cache": dict(self.benefit_cache.stats) if self.benefit_cache is not None else {},
             "voi": dict(self.voi.stats),
+            "generator": dict(self.generator.stats),
             "guard": dict(self.guard.stats) if self.guard is not None else {},
             "journal": (
                 {"path": str(self.journal.path), "seq": self.journal.seq}

@@ -4,10 +4,11 @@ The delta pipeline trades per-iteration rebuilds for incrementally
 maintained structures — the event-driven
 :class:`~repro.core.grouping.GroupIndex`, the stamp-guarded
 :class:`~repro.core.voi.GroupBenefitCache`, the code-space
-:class:`~repro.repair.similarity.SimilarityCache` and the columnar
-mirror. Each keeps its rebuild-from-scratch reference path alive for
-parity testing; the guard turns those references into a *runtime*
-safety net:
+:class:`~repro.repair.similarity.SimilarityCache`, the suggestion
+engine's write-surviving decision memo and the columnar mirror. Each
+keeps its rebuild-from-scratch reference path alive for parity
+testing; the guard turns those references into a *runtime* safety
+net:
 
 * every engine iteration calls :meth:`InvariantGuard.tick`; every
   *interval*-th tick runs one audit pass cross-checking each live
@@ -17,10 +18,10 @@ safety net:
   structures (``group_index``, ``benefit_cache``) the next group
   selection additionally runs through the rebuild reference path
   (*graceful degradation* — one slow step instead of a crash or a
-  silently wrong ranking); for ``sim_cache`` and ``columns`` the
-  recovery action itself (clear / re-encode) already restores
-  correctness — later reads recompute from the scalar reference — so
-  no degraded step is needed;
+  silently wrong ranking); for ``sim_cache``, ``decision_memo`` and
+  ``columns`` the recovery action itself (clear / re-encode) already
+  restores correctness — later reads recompute from the reference —
+  so no degraded step is needed;
 * incidents beyond *max_incidents* escalate to
   :class:`~repro.errors.IntegrityError` — past that point the session
   keeps diverging faster than it can repair itself and hard failure is
@@ -44,7 +45,7 @@ from repro.repair.similarity import similarity
 __all__ = ["Incident", "InvariantGuard"]
 
 #: Components the guard audits, in audit order.
-COMPONENTS = ("group_index", "benefit_cache", "sim_cache", "columns")
+COMPONENTS = ("group_index", "benefit_cache", "sim_cache", "decision_memo", "columns")
 
 
 @dataclass(frozen=True, slots=True)
@@ -106,10 +107,10 @@ class InvariantGuard:
         Incident budget; exceeding it raises
         :class:`~repro.errors.IntegrityError`.
     sample:
-        How many sim-cache entries and how many tuples the per-audit
-        samples cover (full structures are still verified for the
-        group index and benefit cache, whose references are cheap
-        relative to their structures' sizes).
+        How many sim-cache entries, decision-memo entries and tuples
+        the per-audit samples cover (full structures are still verified
+        for the group index and benefit cache, whose references are
+        cheap relative to their structures' sizes).
     """
 
     def __init__(
@@ -125,6 +126,7 @@ class InvariantGuard:
         self._degraded: set[str] = set()
         self._degraded_steps = 0
         self._tuple_cursor = _Cursor()
+        self._decision_cursor = _Cursor()
 
     # ------------------------------------------------------------------
     @property
@@ -145,7 +147,8 @@ class InvariantGuard:
         path (the rebuilt structure is trusted again afterwards).
         Only ``group_index`` and ``benefit_cache`` incidents set the
         flag — they are consumed by the engine's next group selection;
-        ``sim_cache`` and ``columns`` recover fully in place.
+        ``sim_cache``, ``decision_memo`` and ``columns`` recover fully
+        in place.
         """
         if component in self._degraded:
             self._degraded.discard(component)
@@ -176,6 +179,7 @@ class InvariantGuard:
         found.extend(self._audit_group_index())
         found.extend(self._audit_benefit_cache())
         found.extend(self._audit_sim_cache())
+        found.extend(self._audit_decision_memo())
         found.extend(self._audit_columns())
         self.incidents.extend(found)
         if len(self.incidents) > self.max_incidents:
@@ -190,9 +194,10 @@ class InvariantGuard:
         """Build one incident; optionally flag *component* for degradation.
 
         *degrade* is False for components whose recovery action alone
-        restores correctness (``sim_cache`` clear, ``columns``
-        re-encode): nothing consumes a degraded flag for them, so
-        setting one would only linger and skew ``degraded_steps``.
+        restores correctness (``sim_cache`` and ``decision_memo`` clear,
+        ``columns`` re-encode): nothing consumes a degraded flag for
+        them, so setting one would only linger and skew
+        ``degraded_steps``.
         """
         incident = Incident(component=component, detail=detail, tick=self._ticks)
         if degrade:
@@ -272,6 +277,26 @@ class InvariantGuard:
                     degrade=False,
                 )
                 sim_cache.clear()
+                return [incident]
+        return []
+
+    # -- decision memo -------------------------------------------------
+    def _audit_decision_memo(self) -> list[Incident]:
+        generator = self.engine.generator
+        entries = generator.decision_entries()
+        for attribute, rules, codes, prevented, cached in self._decision_cursor.take(
+            entries, self.sample
+        ):
+            expected = generator.redecide(attribute, rules, codes, prevented)
+            if expected != cached:
+                incident = self._record(
+                    "decision_memo",
+                    f"memoised Algorithm 1 decision for {attribute!r} at signature "
+                    f"{codes} reads {cached!r}, a fresh decision computes "
+                    f"{expected!r}; memo cleared",
+                    degrade=False,
+                )
+                generator.forget_decisions()
                 return [incident]
         return []
 

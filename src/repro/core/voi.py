@@ -83,7 +83,7 @@ def _benefit_from_outcomes(
 
 
 #: Partition tick stored for keys whose outcome read no partition.
-_NO_PARTITIONS = np.iinfo(np.int64).max
+_NO_PARTITIONS = np.iinfo(np.int32).max
 
 
 class DeltaKeyCache:
@@ -120,15 +120,18 @@ class DeltaKeyCache:
         # never), the partition tick it was last known current at, and
         # the variable-rule partitions its outcome read
         self._keys: list[tuple] = []
-        self._epoch = np.empty(0, dtype=np.int64)
-        self._tick = np.empty(0, dtype=np.int64)
+        self._epoch = np.empty(0, dtype=np.int32)
+        self._tick = np.empty(0, dtype=np.int32)
         self._reads: list = []
         # per key id, padded term rows: rule index, vio_reduction, d
-        # (padding reads rule 0 with reduction 0: an exact +0.0 term)
-        self._count = np.empty(0, dtype=np.int64)
-        self._rule = np.zeros((0, 1), dtype=np.int64)
-        self._reduction = np.zeros((0, 1), dtype=np.int64)
-        self._delta = np.zeros((0, 1), dtype=np.int64)
+        # (padding reads rule 0 with reduction 0: an exact +0.0 term).
+        # Every table is int32: a reduction or d is bounded by twice a
+        # partition's size, and each term promotes to int64/float64
+        # before any arithmetic, so the Eq. 6 sums are those of int64
+        self._count = np.empty(0, dtype=np.int32)
+        self._rule = np.zeros((0, 1), dtype=np.int32)
+        self._reduction = np.zeros((0, 1), dtype=np.int32)
+        self._delta = np.zeros((0, 1), dtype=np.int32)
         self._rule_index = {rule: i for i, rule in enumerate(detector.rule_counts()[0])}
         self.hits = 0
         self.clears = 0
@@ -221,7 +224,7 @@ class DeltaKeyCache:
         self._count = np.resize(self._count, rows)
         grown = []
         for table in (self._rule, self._reduction, self._delta):
-            wider = np.zeros((rows, width), dtype=np.int64)
+            wider = np.zeros((rows, width), dtype=np.int32)
             wider[: min(old, rows), : table.shape[1]] = table[: min(old, rows)]
             grown.append(wider)
         self._rule, self._reduction, self._delta = grown

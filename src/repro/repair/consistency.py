@@ -135,7 +135,7 @@ class ConsistencyManager:
         # the database updates its columnar mirror synchronously inside
         # set_value, before listeners fire, so regeneration below always
         # sees the post-write instance
-        self._revisit_after_write(change.tid, change.attribute, exclude=None)
+        self._revisit_after_write(change.tid, change.attribute)
 
     def _on_state_event(self, event: StateEvent) -> None:
         if self._in_refresh:
@@ -215,9 +215,7 @@ class ConsistencyManager:
             self._suspend_trigger = False
         self.state.freeze(update.cell)
 
-        revisited = self._revisit_after_write(
-            tid, attribute, exclude=update.cell, extra_tuples=before
-        )
+        revisited = self._revisit_after_write(tid, attribute, extra_tuples=before)
         return AppliedFeedback(
             update,
             feedback,
@@ -229,7 +227,6 @@ class ConsistencyManager:
         self,
         tid: int,
         attribute: str,
-        exclude: tuple[int, str] | None,
         extra_tuples: set[int] | None = None,
     ) -> list[tuple[int, str]]:
         """Steps 4-5: drop stale suggestions and regenerate.
@@ -249,17 +246,16 @@ class ConsistencyManager:
         # these tuples' suggestions and coverage may drift; the next
         # delta refresh re-examines them
         self._touched.update(affected)
-        # one batched generation pass over every revisited cell; it
-        # reports the cells that carried a suggestion before or after
-        cells: list[tuple[int, str]] = []
+        # one batched generation pass over every changeable revisited
+        # cell (the written one is frozen); it reports the cells that
+        # carried a suggestion before or after
         ordered_attrs = sorted(revisit_attrs)
-        for other_tid in sorted(affected):
-            for other_attr in ordered_attrs:
-                other_cell = (other_tid, other_attr)
-                if exclude is not None and other_cell == exclude:
-                    continue
-                if self.state.is_changeable(other_cell):
-                    cells.append(other_cell)
+        frozen = self.state.cell_views()[0]
+        cells = [
+            cell
+            for cell in ((t, a) for t in sorted(affected) for a in ordered_attrs)
+            if cell not in frozen
+        ]
         revisited: list[tuple[int, str]] = []
         self.generator.generate_for_cells(cells, revisited=revisited)
         return revisited

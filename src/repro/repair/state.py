@@ -20,7 +20,7 @@ tuple *t* carry suggestions" an O(1) lookup instead of a pool scan.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Set as AbstractSet
+from collections.abc import Callable, Mapping, Set as AbstractSet
 from enum import Enum
 from typing import NamedTuple
 
@@ -143,6 +143,16 @@ class RepairState:
         per revisited cell); the result must not be mutated.
         """
         return self._prevented.get(cell, _EMPTY)
+
+    def cell_views(self) -> tuple[AbstractSet[Cell], Mapping[Cell, AbstractSet[object]], Mapping]:
+        """The frozen cells, the prevented values per cell and the live
+        suggestions per cell — the live containers, **read only**.
+
+        For the suggestion engine's per-cell loops, which test every
+        revisited cell against all three; the views mutate under later
+        state changes and must not be retained across them.
+        """
+        return self._frozen, self._prevented, self._possible
 
     def is_prevented(self, cell: Cell, value: object) -> bool:
         """True when *value* was already rejected for *cell*."""

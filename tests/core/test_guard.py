@@ -89,6 +89,30 @@ class TestAudits:
             guarded.db.value(0, "city")
         )
 
+    def test_decision_memo_corruption_detected_and_cleared(self, guarded):
+        from repro.repair.generator import _pack
+
+        generator = guarded.generator
+        update = guarded.state.updates()[0]
+        tid, attribute = update.cell
+        layout = generator._mask_layout(attribute, guarded.detector.violation_masks()[tid])
+        codes = tuple(guarded.db.columns.gather_row(tid, layout.positions).tolist())
+        key = _pack(codes)
+        assert layout.decisions[key] == (update.value, update.score)
+        layout.decisions[key] = ("CORRUPTED", 0.5)
+        # unguarded, the corrupted entry is what the next selection reads
+        assert generator.generate_for_cells([update.cell])[0].value == "CORRUPTED"
+        guard = InvariantGuard(guarded, interval=1, sample=10**6)
+        incidents = guard.audit()
+        assert [i.component for i in incidents] == ["decision_memo"]
+        assert "CORRUPTED" in incidents[0].detail
+        assert generator.stats["decision_memo_size"] == 0
+        assert not guard.consume_degraded("decision_memo")
+        # the next selection decides afresh and restores the suggestion
+        again = generator.generate_for_cells([update.cell])[0]
+        assert (again.value, again.score) == (update.value, update.score)
+        assert guard.audit() == []
+
     def test_in_place_recoveries_do_not_degrade(self, guarded):
         # sim_cache and columns recover fully in place (clear /
         # re-encode); no consumer exists for a degraded flag, so none
@@ -118,7 +142,13 @@ class TestAudits:
             guard.audit()
 
     def test_components_registry_matches_audits(self):
-        assert COMPONENTS == ("group_index", "benefit_cache", "sim_cache", "columns")
+        assert COMPONENTS == (
+            "group_index",
+            "benefit_cache",
+            "sim_cache",
+            "decision_memo",
+            "columns",
+        )
 
 
 class TestGuardedRunParity:

@@ -111,6 +111,9 @@ class TestKillAndRestore:
         restored = GDREngine.restore(
             tmp_path / "session.cp", ds.rules, GroundTruthOracle(ds.clean), ds.clean
         )
+        # the decision memo is not checkpointed: a restored engine
+        # decides afresh
+        assert restored.health()["generator"]["decision_memo_size"] == 0
         result = restored.resume()
         dump_chaos_log(
             f"kill_restore_{preset}_{dataset_name}", restored.health()

@@ -19,6 +19,14 @@ def _substrate(ds, batched, sim=None):
     return db, detector, state, generator
 
 
+def _rhs_values(gen, tid, rule):
+    """Scenario-2 pool of tuple *tid* under variable rule *rule*."""
+    columns = gen.db.columns
+    row = columns.position_of(tid)
+    key = tuple(columns.code_at(row, p) for p in gen.db.schema.positions(rule.lhs))
+    return gen._values_for_rhs(rule, key, gen.db.value(tid, rule.rhs))
+
+
 def _pool(state):
     return {u.cell: (u.value, u.score) for u in state.updates()}
 
@@ -115,24 +123,24 @@ class TestRhsHistogramMemo:
     def test_partition_shares_one_histogram(self):
         db, rules, detector, gen = self._build()
         rule = next(iter(rules))
-        first = gen._values_for_rhs(0, rule)
+        first = _rhs_values(gen, 0, rule)
         assert first == ["46825"]
         assert len(gen._rhs_memo) == 1
         # the partner tuple reuses the same memo entry, filtered by its
         # own current value
-        assert gen._values_for_rhs(1, rule) == ["46391"]
+        assert _rhs_values(gen, 1, rule) == ["46391"]
         assert len(gen._rhs_memo) == 1
 
     def test_stats_version_move_invalidates(self):
         db, rules, detector, gen = self._build()
         rule = next(iter(rules))
-        assert gen._values_for_rhs(0, rule) == ["46825"]
+        assert _rhs_values(gen, 0, rule) == ["46825"]
         (memo_version, __), = gen._rhs_memo.values()
         db.set_value(2, "zip", "46391")
         # partition histogram is now {46391: 2, 46825: 1}; tuple 1
         # (current 46825) must see the re-ranked, re-filtered list
-        assert gen._values_for_rhs(1, rule) == ["46391"]
-        assert gen._values_for_rhs(0, rule) == ["46825"]
+        assert _rhs_values(gen, 1, rule) == ["46391"]
+        assert _rhs_values(gen, 0, rule) == ["46825"]
         (new_version, __), = gen._rhs_memo.values()
         assert new_version != memo_version
 
@@ -141,12 +149,12 @@ class TestRhsHistogramMemo:
 
         db, rules, detector, gen = self._build()
         rule = next(iter(rules))
-        gen._values_for_rhs(0, rule)
+        _rhs_values(gen, 0, rule)
         old_capacity = gen_mod._RHS_MEMO_CAPACITY
         try:
             gen_mod._RHS_MEMO_CAPACITY = 0
             gen._rhs_memo.clear()
-            gen._values_for_rhs(0, rule)
+            _rhs_values(gen, 0, rule)
             assert len(gen._rhs_memo) <= 1
         finally:
             gen_mod._RHS_MEMO_CAPACITY = old_capacity
@@ -154,12 +162,12 @@ class TestRhsHistogramMemo:
     def test_detach_clears_all_memos(self):
         db, rules, detector, gen = self._build()
         rule = next(iter(rules))
-        gen._values_for_rhs(0, rule)
+        _rhs_values(gen, 0, rule)
         gen.generate_for_tuple(0)
         gen.detach()
         assert gen._rhs_memo == {}
         assert gen._witness_memo == {}
-        assert gen._witness_positions == {}
+        assert gen.decision_entries() == []
 
 
 class TestCrossBatchDecisionMemo:
@@ -167,9 +175,8 @@ class TestCrossBatchDecisionMemo:
         ds = load_dataset("hospital", n=120, seed=4)
         db, detector, state, gen = _substrate(ds, batched=True)
         gen.generate_all()
-        assert gen._decision_memo
-        stamp = gen._decision_stamp
-        assert stamp == (db.version, detector.stats_epoch)
+        size = gen.stats["decision_memo_size"]
+        assert size
         calls = []
         monkeypatch.setattr(
             gen,
@@ -182,18 +189,28 @@ class TestCrossBatchDecisionMemo:
         gen.generate_all()
         assert calls == []
         assert _pool(state) == before
-        assert gen._decision_stamp == stamp
+        assert gen.stats["decision_memo_size"] == size
 
     def test_db_write_invalidates(self):
         ds = load_dataset("hospital", n=120, seed=4)
         db, detector, state, gen = _substrate(ds, batched=True)
         gen.generate_all()
-        stamp = gen._decision_stamp
+        size = gen.stats["decision_memo_size"]
         tid = next(iter(detector.dirty_tuples()))
+        # no rule reads the column: every decision survives
         db.set_value(tid, "complaint", "unrelated-write")
+        assert gen.stats["decision_memo_size"] == size
+        assert gen.stats["decision_memo_evictions"] == 0
+        # a value new to the column moves the value set of the tuple's
+        # groups: the entries reading them go, the others stay
+        db.set_value(tid, "city", "a-city-never-seen")
+        evicted = gen.stats["decision_memo_evictions"]
+        assert 0 < evicted < size
+        assert gen.stats["decision_memo_size"] == size - evicted
+        # an insert is structural: the next pass starts from an empty memo
+        db.insert(db.values_snapshot(tid))
         gen.generate_all()
-        assert gen._decision_stamp != stamp
-        assert gen._decision_stamp == (db.version, detector.stats_epoch)
+        assert gen.stats["decision_memo_structural_clears"] == 1
 
     def test_carried_memo_matches_scalar_after_writes(self):
         # identical write sequence through one long-lived batched
@@ -224,15 +241,18 @@ class TestCrossBatchDecisionMemo:
         __, __, __, gen = _substrate(ds, batched=True)
         monkeypatch.setattr(gen_mod, "_DECISION_MEMO_CAPACITY", 1)
         gen.generate_all()
-        assert len(gen._decision_memo) <= 1
+        assert gen.stats["decision_memo_size"] <= 1
+        assert gen.stats["decision_memo_clears"] > 0
 
     def test_detach_clears(self):
         ds = load_dataset("hospital", n=80, seed=4)
-        __, __, __, gen = _substrate(ds, batched=True)
+        db, __, __, gen = _substrate(ds, batched=True)
         gen.generate_all()
         gen.detach()
-        assert gen._decision_memo == {}
-        assert gen._decision_stamp == (-1, -1)
+        assert gen.stats["decision_memo_size"] == 0
+        assert gen.decision_entries() == []
+        # detached: later writes reach no listener of the generator
+        assert gen._on_write not in db._listeners
 
 
 def test_regeneration_after_writes_matches_scalar():
