@@ -6,9 +6,11 @@ small dictionary codes plus one continuous similarity column, three
 feedback classes — the exact workload :class:`repro.core.FeedbackLearner`
 produces):
 
-* ``test_fit_hist`` / ``test_fit_exact`` — cold committee fit
-  (``GDRConfig(learner="hist")`` vs the retained exact-sort reference;
-  the hist timing includes binning, so the ratio is end-to-end);
+* ``test_fit_hist`` / ``test_fit_exact`` — cold committee fit (the
+  learner's :class:`~repro.ml.forest.HistogramForestClassifier` vs the
+  exact-sort :class:`~repro.ml.forest.RandomForestClassifier` it
+  reproduces; the hist timing includes binning, so the ratio is
+  end-to-end);
 * ``test_predict_hist`` / ``test_predict_exact`` — batched committee
   inference over a drain-sized probe matrix (packed node arenas vs the
   per-tree reference walk);
@@ -92,7 +94,7 @@ def _committees_match(hist, exact) -> bool:
 
 @pytest.mark.parametrize("n", SIZES)
 def test_fit_exact(benchmark, n):
-    """Cold fit, exact-sort CART reference (``learner="exact"``)."""
+    """Cold fit, exact-sort CART reference (``RandomForestClassifier``)."""
     X, y = make_examples(n)
 
     def fit():

@@ -9,11 +9,10 @@ tracked in ``BENCH_scaling.json`` (``run_bench.py --suite scaling``):
   a super-linear blowup guard;
 * ``test_scaling_learning`` — the full GDR pipeline (active learning,
   batched suggestion engine, learner drain) at N=1000/2000/5000, the
-  scale the vectorized suggestion engine is built for.
+  scale the vectorized suggestion engine is built for, with the
+  similarity-cache counters.
 
-``test_scaling_suggest_parity`` cross-checks the batched suggestion
-engine against the scalar reference at the smallest size and records
-the similarity-cache counters. Scale knobs::
+Scale knobs::
 
     REPRO_SCALING_SIZES   comma-separated learning-sweep sizes
                           (default "1000,2000,5000")
@@ -122,40 +121,3 @@ def test_scaling_learning(benchmark):
         # with the live pool (~n) — an O(n^2) envelope. Measured ~1.2
         # n^2 on this machine; 2x headroom catches real regressions.
         assert ratio_t < 2.0 * ratio_n**2
-
-
-def test_scaling_suggest_parity(benchmark):
-    """Batched vs scalar suggestion engine: byte-identical at scale.
-
-    Runs both modes at the smallest learning size and asserts the
-    ``GDRResult`` signatures (and final instances) agree, publishing
-    the batched run's similarity-cache counters — the parity counters
-    CI asserts on.
-    """
-    n = min(_LEARN_SIZES)
-    budget = _budget(n)
-
-    def signature(result, db):
-        return (
-            result.feedback_used,
-            result.learner_decisions,
-            result.iterations,
-            result.final_loss,
-            tuple((p.feedback, p.learner_decisions, p.loss) for p in result.trajectory),
-            tuple(tuple(row.values) for row in db.rows()),
-        )
-
-    def both():
-        __, result_b, engine_b, db_b = _run(
-            n, GDRConfig.gdr(seed=BENCH_SEED, suggest="batched"), budget=budget
-        )
-        __, result_s, __, db_s = _run(
-            n, GDRConfig.gdr(seed=BENCH_SEED, suggest="scalar"), budget=budget
-        )
-        return signature(result_b, db_b), signature(result_s, db_s), engine_b
-
-    sig_b, sig_s, engine = benchmark.pedantic(both, rounds=1, iterations=1)
-    assert sig_b == sig_s
-    for key, value in engine.health()["sim"].items():
-        benchmark.extra_info[f"sim.{key}"] = value
-    benchmark.extra_info["parity"] = 1

@@ -2,23 +2,23 @@
 
 Entry point::
 
-    python benchmarks/run_bench.py [--suite micro|loop|drain|ml|scaling|scale|all] [-o PATH] [-k EXPR]
+    python benchmarks/run_bench.py [--suite micro|ml|scaling|scale|all] [-o PATH] [-k EXPR]
 
 Each suite runs under ``pytest-benchmark`` and writes a flat
 ``benchmark name -> median seconds`` JSON next to this file — by
 default ``benchmarks/BENCH_micro.json`` for the micro suite (hot-path
-substrates), ``benchmarks/BENCH_loop.json`` for the end-to-end
-interactive loop (``bench_loop.py``, delta vs rebuild pipeline),
-``benchmarks/BENCH_drain.json`` for the learner drain,
-``benchmarks/BENCH_ml.json`` for the committee substrate
+substrates), ``benchmarks/BENCH_ml.json`` for the committee substrate
 (``bench_ml.py``, histogram forest vs exact-sort reference with a
 recorded parity flag),
 ``benchmarks/BENCH_scaling.json`` for the table-size sweeps
-(``bench_scaling.py``, no-learning + full-pipeline + suggest parity),
+(``bench_scaling.py``, no-learning + full GDR),
 and ``benchmarks/BENCH_scale.json`` for the violation engine on the
 synthetic 10^4–10^6-row instances (``bench_scale.py``, detect, what-if
 and cold start from raw rows to the first ranked group) — so the
 performance trajectory is visible across PRs with a one-line diff.
+The end-to-end interactive loop, the learner drain and the journal are
+timed by the repo benchmark, ``gdrbench/`` (``--trace 1`` splits a
+session by layer, e.g. ``gdr.drain_s`` and ``journal.append_s``).
 """
 
 from __future__ import annotations
@@ -36,8 +36,6 @@ REPO_ROOT = BENCH_DIR.parent
 
 SUITES = {
     "micro": (BENCH_DIR / "bench_micro.py", BENCH_DIR / "BENCH_micro.json"),
-    "loop": (BENCH_DIR / "bench_loop.py", BENCH_DIR / "BENCH_loop.json"),
-    "drain": (BENCH_DIR / "bench_drain.py", BENCH_DIR / "BENCH_drain.json"),
     "ml": (BENCH_DIR / "bench_ml.py", BENCH_DIR / "BENCH_ml.json"),
     "scaling": (BENCH_DIR / "bench_scaling.py", BENCH_DIR / "BENCH_scaling.json"),
     "scale": (BENCH_DIR / "bench_scale.py", BENCH_DIR / "BENCH_scale.json"),

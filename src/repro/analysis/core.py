@@ -1,8 +1,8 @@
 """Findings, the rule protocol and the rule registry.
 
-repolint enforces the *contracts* eight PRs of growth have relied on —
-byte-identical parity references, stamped and bounded memos, registered
-and chaos-tested fault points, deterministic core paths. Every contract is a
+repolint enforces the *contracts* the codebase relies on — stamped and
+bounded memos, registered and chaos-tested fault points, deterministic
+core paths. Every contract is a
 :class:`Rule`; every breach is a :class:`Finding`.
 
 Findings carry a *fingerprint* that deliberately excludes the line

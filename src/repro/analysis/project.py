@@ -78,7 +78,7 @@ class Project:
         touching disk.
     excludes:
         Repo-relative paths to pretend do not exist — lets tests prove
-        that *removing* a contract (a parity test, a registry entry)
+        that *removing* a contract (a chaos test, a registry entry)
         makes the lint run fail.
     """
 

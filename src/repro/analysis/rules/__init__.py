@@ -10,12 +10,10 @@ from repro.analysis.rules import (  # noqa: F401  - import for registration
     cache_discipline,
     determinism,
     fault_points,
-    parity,
 )
 
 __all__ = [
     "cache_discipline",
     "determinism",
     "fault_points",
-    "parity",
 ]

@@ -1,7 +1,6 @@
 """Determinism: no wall clocks or unseeded randomness in core paths.
 
-Kill-and-restore replay (PR 6) and every byte-identical parity
-reference depend on the engine being a pure function of ``(instance,
+Kill-and-restore replay (PR 6) and the golden trajectories depend on the engine being a pure function of ``(instance,
 rules, config, oracle answers)``. A single ``time.time()`` feeding a
 decision, or a module-global RNG draw, silently breaks deterministic
 re-execution — the failure only shows up later as a replay divergence
@@ -86,7 +85,7 @@ class DeterminismRule(Rule):
     title: str = "no wall clocks or unseeded RNG in replay-contract packages"
     rationale: str = (
         "core/, constraints/, repair/ and ml/ must stay deterministic so "
-        "kill-and-restore replay and the parity references hold byte-for-byte"
+        "kill-and-restore replay and the golden trajectories hold byte-for-byte"
     )
     scope: str = "file"
 

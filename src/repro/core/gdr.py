@@ -14,6 +14,19 @@ Variant                ranking   learning    grouping  per-group quota
 
 (The *Automatic-Heuristic* baseline lives in
 :func:`repro.repair.heuristic.batch_repair` — it needs no engine.)
+
+Every variant runs one engine path. Each iteration refreshes the
+suggestion pool in O(delta)
+(:meth:`~repro.repair.consistency.ConsistencyManager.refresh_suggestions`),
+picks the top group off the event-maintained
+:class:`~repro.core.grouping.GroupIndex` (through the stamped
+:class:`~repro.core.voi.GroupBenefitCache` under VOI ranking), and the
+learner decides through wave-batched committee passes against a
+snapshot view (:func:`~repro.core.session.decide_batched`). The golden
+trajectories under ``tests/golden/`` pin the results. The rebuild
+references that remain — ``refresh_suggestions_full``, and
+``group_updates`` ranked by ``RankingStrategy.rank`` — serve the first
+refresh, the guard's audits and its degraded pick.
 """
 
 from __future__ import annotations
@@ -42,7 +55,6 @@ from repro.errors import ConfigError
 from repro.testing.faults import fault_hit
 from repro.repair.candidate import CandidateUpdate
 from repro.repair.consistency import ConsistencyManager
-from repro.repair.feedback import UserFeedback
 from repro.repair.generator import UpdateGenerator
 from repro.repair.similarity import SimilarityCache
 from repro.repair.state import RepairState
@@ -51,10 +63,6 @@ __all__ = ["GDRConfig", "GDREngine", "GDRResult"]
 
 _RANKINGS = ("voi", "greedy", "random")
 _LEARNINGS = ("active", "passive", "none")
-_PIPELINES = ("delta", "rebuild")
-_DRAINS = ("batched", "sequential")
-_SUGGESTS = ("batched", "scalar")
-_LEARNERS = ("hist", "exact")
 
 
 @dataclass(slots=True)
@@ -83,46 +91,12 @@ class GDRConfig:
         Master seed for every stochastic component.
     max_iterations:
         Safety cap on interactive iterations.
-    pipeline:
-        ``"delta"`` (default) drives each iteration from incremental
-        structures — O(delta) suggestion refresh, the event-maintained
-        :class:`~repro.core.grouping.GroupIndex` and the stamped
-        :class:`~repro.core.voi.GroupBenefitCache` — so iteration cost
-        scales with what the last batch touched. ``"rebuild"`` re-scans,
-        re-groups and re-scores everything per iteration: the original
-        reference path, kept because the delta path is required (and
-        tested) to reproduce its results byte-for-byte.
-    drain:
-        ``"batched"`` (default) runs every learner decision path — the
-        post-budget drain and in-session delegation — through
-        wave-partitioned ``predict_many`` batches against a
-        copy-on-write snapshot view. ``"sequential"`` is the retained
-        predict-one-apply-one reference; the batched path reproduces
-        its ``GDRResult`` byte-for-byte (tested across presets and
-        datasets).
     voi_cache_capacity:
         Entry bound for the estimator's probe-key table (cleared
         before an overflowing insert); the default comfortably holds
         million-tuple instances while keeping memory bounded. The
         benefit cache's stored p̃ vectors need no bound: they hold one
         value per live suggestion.
-    suggest:
-        ``"batched"`` (default) runs Algorithm 1 through the vectorized
-        suggestion engine — cells batched per refresh, witness-signature
-        decision sharing, candidate pools scored in code space through
-        the batched Eq. 7 Levenshtein kernel. ``"scalar"`` is the
-        retained per-cell reference path (one Python DP per candidate
-        pair); the batched path reproduces its ``GDRResult``
-        byte-for-byte (tested across presets and datasets).
-    learner:
-        ``"hist"`` (default) trains the per-attribute committees as
-        histogram forests over warm, incrementally binned training
-        matrices — the fused split search and batched inference of
-        :class:`~repro.ml.forest.HistogramForestClassifier`.
-        ``"exact"`` keeps the exact-sort CART committees: the retained
-        reference, which the histogram path reproduces bit for bit
-        (same models, predictions and repair trajectories — tested
-        across presets and datasets).
     sim_cache_capacity:
         Entry bound for the engine-owned Eq. 7 similarity cache (the
         code-space pair memo shared by the generator and the learner's
@@ -172,11 +146,7 @@ class GDRConfig:
     voi_prior: str = "score"
     seed: int = 0
     max_iterations: int = 100_000
-    pipeline: str = "delta"
-    drain: str = "batched"
     voi_cache_capacity: int = 1 << 20
-    suggest: str = "batched"
-    learner: str = "hist"
     sim_cache_capacity: int = 1 << 20
     guard: bool = False
     guard_interval: int = 4
@@ -193,18 +163,10 @@ class GDRConfig:
             raise ConfigError(f"learning must be one of {_LEARNINGS}, got {self.learning!r}")
         if self.voi_prior not in ("score", "uniform"):
             raise ConfigError(f"voi_prior must be 'score' or 'uniform', got {self.voi_prior!r}")
-        if self.pipeline not in _PIPELINES:
-            raise ConfigError(f"pipeline must be one of {_PIPELINES}, got {self.pipeline!r}")
-        if self.drain not in _DRAINS:
-            raise ConfigError(f"drain must be one of {_DRAINS}, got {self.drain!r}")
         if self.voi_cache_capacity < 1:
             raise ConfigError(
                 f"voi_cache_capacity must be positive, got {self.voi_cache_capacity!r}"
             )
-        if self.suggest not in _SUGGESTS:
-            raise ConfigError(f"suggest must be one of {_SUGGESTS}, got {self.suggest!r}")
-        if self.learner not in _LEARNERS:
-            raise ConfigError(f"learner must be one of {_LEARNERS}, got {self.learner!r}")
         if self.sim_cache_capacity < 1:
             raise ConfigError(
                 f"sim_cache_capacity must be positive, got {self.sim_cache_capacity!r}"
@@ -352,12 +314,7 @@ class GDREngine:
             db.columns, capacity=self.config.sim_cache_capacity
         )
         self.generator = UpdateGenerator(
-            db,
-            rules,
-            self.detector,
-            self.state,
-            sim=self.sim_cache,
-            batched=self.config.suggest == "batched",
+            db, rules, self.detector, self.state, sim=self.sim_cache
         )
         self.manager = ConsistencyManager(db, rules, self.detector, self.state, self.generator)
         self.learner: FeedbackLearner | None = None
@@ -369,7 +326,6 @@ class GDREngine:
                 max_depth=self.config.max_depth,
                 min_examples=self.config.min_examples,
                 seed=self.config.seed,
-                kind=self.config.learner,
             )
         self.voi = VOIEstimator(self.detector, key_capacity=self.config.voi_cache_capacity)
         self.strategy = self._build_strategy()
@@ -382,23 +338,21 @@ class GDREngine:
         if clean_db is not None:
             self.evaluator = QualityEvaluator(clean_db, rules)
 
-        # delta pipeline substrate: the incrementally maintained group
-        # partition, and (for VOI ranking) the stamped benefit cache.
-        # Attached before the initial generation pass so every
-        # suggestion flows through the event stream.
-        self.group_index: GroupIndex | None = None
+        # the incrementally maintained group partition, and (for VOI
+        # ranking) the stamped benefit cache. Attached before the
+        # initial generation pass so every suggestion flows through the
+        # event stream.
+        self.group_index = GroupIndex(self.state, grouping=self.config.grouping)
         self.benefit_cache: GroupBenefitCache | None = None
-        if self.config.pipeline == "delta":
-            self.group_index = GroupIndex(self.state, grouping=self.config.grouping)
-            if self.config.ranking == "voi":
-                self.benefit_cache = GroupBenefitCache(
-                    self.voi,
-                    self.group_index,
-                    self.detector,
-                    db,
-                    self.learner,
-                    probability_many=self.probability_many,
-                )
+        if self.config.ranking == "voi":
+            self.benefit_cache = GroupBenefitCache(
+                self.voi,
+                self.group_index,
+                self.detector,
+                db,
+                self.learner,
+                probability_many=self.probability_many,
+            )
 
         # robustness layer: write-ahead journal + invariant guard
         self.journal: FeedbackJournal | None = None
@@ -460,8 +414,7 @@ class GDREngine:
         self.detector.detach()
         self.manager.detach()
         self.generator.detach()
-        if self.group_index is not None:
-            self.group_index.detach()
+        self.group_index.detach()
         if self.benefit_cache is not None:
             self.benefit_cache.detach()
         if self.journal is not None:
@@ -472,9 +425,11 @@ class GDREngine:
     # ------------------------------------------------------------------
     # durability: checkpoint / restore / resume
     # ------------------------------------------------------------------
-    #: 3: committees pickle as per-forest node arrays (format-2 files
-    #: hold per-tree objects a restored learner cannot predict with)
-    _CHECKPOINT_FORMAT = 3
+    #: 4: the config lost the reference-path knobs (``pipeline``,
+    #: ``drain``, ``suggest``, ``learner``), which a format-3 file still
+    #: carries; 3: committees pickle as per-forest node arrays (format-2
+    #: files hold per-tree objects a restored learner cannot predict with)
+    _CHECKPOINT_FORMAT = 4
 
     def checkpoint(self, path: str | Path) -> None:
         """Serialise the full session state to *path*, atomically.
@@ -779,7 +734,6 @@ class GDREngine:
             batch_size=self.config.batch_size,
             seed=self.config.seed,
             max_decision_uncertainty=self.config.max_decision_uncertainty,
-            drain=self.config.drain,
         )
         if _resume is not None:
             session.rng_state = _resume["session_rng"]
@@ -803,7 +757,6 @@ class GDREngine:
             }
 
         auto_path = self.config.checkpoint_path
-        delta = self.group_index is not None
         phase = _resume["phase"] if _resume is not None else "interactive"
         while (
             phase == "interactive"
@@ -816,21 +769,10 @@ class GDREngine:
             self._loop_state = capture("interactive")
             if auto_path is not None and result.iterations % self.config.checkpoint_every == 0:
                 self.checkpoint(auto_path)
-            if delta:
-                self.manager.refresh_suggestions()
-                if len(self.state) == 0:
-                    break
-                group, benefit, max_benefit, group_count = self._pick_top_group()
-            else:
-                self.manager.refresh_suggestions_full()
-                updates = self.state.updates()
-                if not updates:
-                    break
-                groups = group_updates(updates, grouping=self.config.grouping)
-                ranked = self.strategy.rank(groups, self.probability)
-                group, benefit = ranked[0]
-                max_benefit = max(score for __, score in ranked)
-                group_count = len(groups)
+            self.manager.refresh_suggestions()
+            if len(self.state) == 0:
+                break
+            group, benefit, max_benefit, group_count = self._pick_top_group()
             if self.config.learning == "none" or not self.config.use_benefit_quota:
                 quota = group.size
             else:
@@ -869,10 +811,10 @@ class GDREngine:
 
     # ------------------------------------------------------------------
     def _pick_top_group(self) -> tuple[UpdateGroup, float, float, int]:
-        """Delta-path group selection: ``(group, benefit, max benefit, #groups)``.
+        """Group selection: ``(group, benefit, max benefit, #groups)``.
 
-        Reproduces the rebuild path's ``strategy.rank(...)[0]`` choice
-        without re-scoring the world:
+        Picks what ``strategy.rank`` over a fresh ``group_updates``
+        partition would put first, without re-scoring the world:
 
         * VOI — the benefit cache re-scores only stale groups and
           heap-selects the top; the top's benefit *is* the maximum
@@ -881,14 +823,14 @@ class GDREngine:
           index; the score (and thus the maximum score) is the top
           group's size.
         * Random — one permutation over the index's group list,
-          consuming the RNG exactly like the rebuild path.
+          consuming the RNG exactly like a ranking of fresh groups.
         """
         index = self.group_index
         if self.guard is not None:
             # graceful degradation: an audit that just recovered the
             # partition or the benefit cache routes this one selection
-            # through the rebuild reference; the repaired structure is
-            # trusted again from the next iteration on
+            # through a ranking of freshly built groups; the repaired
+            # structure is trusted again from the next iteration on
             degraded = self.guard.consume_degraded("benefit_cache")
             if self.guard.consume_degraded("group_index"):
                 degraded = True
@@ -931,8 +873,8 @@ class GDREngine:
         automatically". *restrict* ``None`` honours the engine's
         grouping locality (decisions stay inside group contexts the
         user inspected); ``False`` decides the whole remaining pool,
-        the literal Figure 5 reading (and what the drain benchmark
-        exercises). Returns the number of decisions made.
+        the literal Figure 5 reading. Returns the number of decisions
+        made.
         """
         if self.learner is None:
             return 0
@@ -953,21 +895,18 @@ class GDREngine:
         regenerate suggestions; the drain stops at a fixpoint or after
         *max_passes*.
 
-        Per pass, the default ``drain="batched"`` path runs one
-        batched committee pass over every candidate against a
-        copy-on-write snapshot view and applies the decisions in order
-        (:func:`~repro.core.session.decide_batched`) — the
-        ``drain="sequential"`` reference (one committee prediction per
-        update, retained below) is reproduced byte-for-byte because
-        predictions are pure, no model refits happen mid-drain, an
-        apply writes only its own tuple, and updates whose tuple *was*
-        written earlier in the pass are re-predicted at their turn.
+        Each pass runs one batched committee pass over every candidate
+        against a copy-on-write snapshot view and applies the decisions
+        in order (:func:`~repro.core.session.decide_batched`), which
+        decides exactly as predicting and applying one update at a time
+        would: predictions are pure, no model refits happen mid-drain,
+        an apply writes only its own tuple, and updates whose tuple
+        *was* written earlier in the pass are re-predicted at their
+        turn.
         """
         decided = 0
         if restrict is None:
             restrict = self.config.grouping
-        delta = self.group_index is not None
-        batched = self.config.drain == "batched"
 
         def callback() -> None:
             fault_hit("drain.decision", decided=decided)
@@ -977,18 +916,19 @@ class GDREngine:
             fault_hit("engine.drain_pass", index=_pass)
             if self.guard is not None:
                 self.guard.tick()
-            if delta:
-                self.manager.refresh_suggestions()
-                updates = self._drain_candidates(restrict)
-            else:
-                self.manager.refresh_suggestions_full()
-                updates = self.state.updates()
+            self.manager.refresh_suggestions()
+            updates = self._drain_candidates(restrict)
             if not updates:
                 break
-            if batched:
-                progress = self._drain_pass_batched(updates, restrict, callback)
-            else:
-                progress = self._drain_pass_sequential(updates, restrict, callback)
+            progress = decide_batched(
+                self.db,
+                self.learner,
+                self.state,
+                self.manager,
+                updates,
+                self._decision_allowed,
+                callback,
+            )
             decided += progress
             if progress == 0:
                 break
@@ -999,58 +939,13 @@ class GDREngine:
             self.learner, self.config.max_decision_uncertainty, update, prediction
         )
 
-    def _drain_pass_sequential(
-        self, updates: list[CandidateUpdate], restrict: bool, on_learner_decision
-    ) -> int:
-        """One predict-one-apply-one drain pass (the reference path)."""
-        progress = 0
-        for update in updates:
-            if not self.state.contains(update):
-                continue
-            if restrict and update.group_key not in self._visited_groups:
-                continue
-            row = self.db.values_snapshot(update.tid)
-            prediction = self.learner.predict(update, row)
-            if not self._decision_allowed(update, prediction):
-                continue
-            self.manager.apply_feedback(
-                update, UserFeedback(prediction.feedback), source="learner"
-            )
-            progress += 1
-            on_learner_decision()
-        return progress
-
-    def _drain_pass_batched(
-        self, updates: list[CandidateUpdate], restrict: bool, on_learner_decision
-    ) -> int:
-        """One batched drain pass (byte-identical to sequential).
-
-        The group-locality filter is applied up front (membership is
-        static within a pass); liveness is re-checked per update at its
-        apply turn, exactly where the sequential path checks it — an
-        update invalidated by an earlier apply in the pass is predicted
-        wastefully but never applied, and a suggestion regenerated
-        identically mid-pass is applied just as the reference would.
-        """
-        if restrict:
-            updates = [u for u in updates if u.group_key in self._visited_groups]
-        return decide_batched(
-            self.db,
-            self.learner,
-            self.state,
-            self.manager,
-            updates,
-            self._decision_allowed,
-            on_learner_decision,
-        )
-
     def _drain_candidates(self, restrict: bool) -> list[CandidateUpdate]:
         """Live updates the drain may decide, in cell order.
 
         With grouping locality active, reads only the visited groups'
-        members off the index instead of filtering the whole pool —
-        the same set (and order) the rebuild path's filtered scan
-        visits.
+        members off the index instead of filtering the whole pool (the
+        same set, in the same order, as filtering the pool by
+        ``_visited_groups``).
         """
         if not restrict:
             return self.state.updates()

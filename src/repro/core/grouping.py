@@ -10,8 +10,8 @@ CT".
 Two implementations coexist:
 
 * :func:`group_updates` rebuilds the partition from scratch — the
-  reference path, still used by the rebuild pipeline and by parity
-  checks;
+  reference the index is verified against, and what the guard's
+  degraded pick ranks;
 * :class:`GroupIndex` maintains the partition *incrementally* from
   :class:`~repro.repair.state.RepairState` mutation events, so the
   interactive loop re-groups in O(changed suggestions) instead of

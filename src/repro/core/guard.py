@@ -1,14 +1,14 @@
 """Invariant guard: sampling auditor with graceful degradation.
 
-The delta pipeline trades per-iteration rebuilds for incrementally
-maintained structures — the event-driven
-:class:`~repro.core.grouping.GroupIndex`, the stamp-guarded
-:class:`~repro.core.voi.GroupBenefitCache`, the code-space
-:class:`~repro.repair.similarity.SimilarityCache`, the suggestion
-engine's write-surviving decision memo and the columnar mirror. Each
-keeps its rebuild-from-scratch reference path alive for parity
-testing; the guard turns those references into a *runtime* safety
-net:
+The engine trades per-iteration rebuilds for incrementally maintained
+structures — the event-driven :class:`~repro.core.grouping.GroupIndex`,
+the stamp-guarded :class:`~repro.core.voi.GroupBenefitCache`, the
+code-space :class:`~repro.repair.similarity.SimilarityCache`, the
+suggestion engine's write-surviving decision memo and the columnar
+mirror. Each has a from-scratch reference (``group_updates``, the
+cache-free ``VOIEstimator.rank_groups``, the scalar Eq. 7, a fresh
+Algorithm 1 decision, a column re-encode); the guard turns those
+references into a *runtime* safety net:
 
 * every engine iteration calls :meth:`InvariantGuard.tick`; every
   *interval*-th tick runs one audit pass cross-checking each live
@@ -16,7 +16,7 @@ net:
 * a divergence is recorded as a structured :class:`Incident` and the
   corrupted component alone is evicted/rebuilt. For the ranking
   structures (``group_index``, ``benefit_cache``) the next group
-  selection additionally runs through the rebuild reference path
+  selection additionally ranks freshly built groups
   (*graceful degradation* — one slow step instead of a crash or a
   silently wrong ranking); for ``sim_cache``, ``decision_memo`` and
   ``columns`` the recovery action itself (clear / re-encode) already
@@ -207,8 +207,6 @@ class InvariantGuard:
     # -- group index ---------------------------------------------------
     def _audit_group_index(self) -> list[Incident]:
         index = self.engine.group_index
-        if index is None:
-            return []
         if index.verify():
             return []
         incident = self._record(

@@ -14,6 +14,12 @@ Before a model has enough labelled examples (or has seen only one
 class), predictions abstain: ``p̃`` falls back to the update score
 ``s_j`` and the uncertainty is maximal — exactly the paper's cold-start
 rule.
+
+Committees are :class:`~repro.ml.forest.HistogramForestClassifier`
+forests fitted from warm, incrementally binned example stores. They
+are bit-identical to the exact-sort
+:class:`~repro.ml.forest.RandomForestClassifier` on the same examples,
+which the tests check down to every tree's node arrays.
 """
 
 from __future__ import annotations
@@ -26,10 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.db.schema import Schema
-from repro.errors import ConfigError
 from repro.ml.binning import BinnedMatrix
 from repro.ml.encoding import FEEDBACK_CLASSES, UpdateExampleEncoder, feedback_to_class
-from repro.ml.forest import HistogramForestClassifier, RandomForestClassifier
+from repro.ml.forest import HistogramForestClassifier
 from repro.ml.metrics import vote_entropy
 from repro.repair.candidate import CandidateUpdate
 from repro.repair.feedback import Feedback
@@ -37,12 +42,6 @@ from repro.repair.similarity import SimilarityFunction, similarity
 from repro.testing.faults import fault_hit
 
 __all__ = ["FeedbackLearner", "LearnerPrediction"]
-
-#: Committee implementations selectable per learner (and through
-#: ``GDRConfig(learner=...)``): the histogram forest is the default and
-#: is bit-identical to the exact-sort reference it replaces.
-LEARNER_KINDS = ("hist", "exact")
-
 
 class _ExampleStore:
     """Growable per-attribute training matrix with a warm rank encoding.
@@ -197,13 +196,6 @@ class FeedbackLearner:
         user.
     seed:
         Base random seed; attribute models get independent streams.
-    kind:
-        ``"hist"`` (default) trains
-        :class:`~repro.ml.forest.HistogramForestClassifier` committees
-        from warm, incrementally binned training matrices; ``"exact"``
-        keeps the exact-sort reference committees. The two produce
-        bit-identical models, so every prediction, version and repair
-        trajectory agrees between them.
     """
 
     def __init__(
@@ -217,10 +209,7 @@ class FeedbackLearner:
         trust_min_samples: int = 8,
         trust_min_accuracy: float = 0.85,
         seed: int = 0,
-        kind: str = "hist",
     ) -> None:
-        if kind not in LEARNER_KINDS:
-            raise ConfigError(f"kind must be one of {LEARNER_KINDS}, got {kind!r}")
         self.schema = schema
         self.encoder = UpdateExampleEncoder(schema, sim)
         self.n_estimators = n_estimators
@@ -230,11 +219,10 @@ class FeedbackLearner:
         self.trust_min_samples = trust_min_samples
         self.trust_min_accuracy = trust_min_accuracy
         self._seed = seed
-        self.kind = kind
         self._stores: dict[str, _ExampleStore] = {
             a: _ExampleStore(self.encoder.n_features) for a in schema.attributes
         }
-        self._models: dict[str, RandomForestClassifier | None] = {
+        self._models: dict[str, HistogramForestClassifier | None] = {
             a: None for a in schema.attributes
         }
         # bumped whenever an attribute's committee is refitted — the
@@ -307,26 +295,15 @@ class FeedbackLearner:
         # zlib.crc32 is stable across processes (unlike hash(), which is
         # randomised by PYTHONHASHSEED) — runs must reproduce exactly
         random_state = self._seed + zlib.crc32(attribute.encode()) % 100_000
-        if self.kind == "hist":
-            model = HistogramForestClassifier(
-                n_estimators=self.n_estimators,
-                max_depth=self.max_depth,
-                min_samples_leaf=self.min_samples_leaf,
-                random_state=random_state,
-            )
-            # warm start: the store's incrementally maintained encoding
-            # skips re-binning the rows every previous refit already saw
-            model.fit(
-                store.X, store.y, n_classes=len(FEEDBACK_CLASSES), binned=store.binned()
-            )
-        else:
-            model = RandomForestClassifier(
-                n_estimators=self.n_estimators,
-                max_depth=self.max_depth,
-                min_samples_leaf=self.min_samples_leaf,
-                random_state=random_state,
-            )
-            model.fit(store.X, store.y, n_classes=len(FEEDBACK_CLASSES))
+        model = HistogramForestClassifier(
+            n_estimators=self.n_estimators,
+            max_depth=self.max_depth,
+            min_samples_leaf=self.min_samples_leaf,
+            random_state=random_state,
+        )
+        # warm start: the store's incrementally maintained encoding
+        # skips re-binning the rows every previous refit already saw
+        model.fit(store.X, store.y, n_classes=len(FEEDBACK_CLASSES), binned=store.binned())
         self._models[attribute] = model
         self._model_versions[attribute] += 1
         self._stale.discard(attribute)

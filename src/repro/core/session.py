@@ -12,6 +12,9 @@ The user picked a group ``c``. The session then alternates:
 When the user's per-group quota (or the global budget) is exhausted the
 learner takes over and decides the group's remaining updates — the
 paper's "user delegates the remaining decisions to the learned model".
+Delegation and the engine's post-budget drain share one decision
+engine, :func:`decide_batched`: one committee pass over the whole list
+against a snapshot view, decisions applied in order.
 """
 
 from __future__ import annotations
@@ -96,18 +99,18 @@ def decide_batched(
     materialisation per tuple however many suggestions it carries —
     then decisions are applied strictly in list order.
 
-    Byte-identity with the sequential predict-one-apply-one reference
-    rests on three facts: predictions are pure (no model refits happen
-    mid-batch), an apply writes at most its own update's tuple, and
-    liveness (``state.contains``) is re-checked at each update's apply
-    turn. The single hazard is a tuple carrying several live
+    It decides exactly as predicting and applying one update at a time
+    would. That rests on three facts: predictions are pure (no model
+    refits happen mid-batch), an apply writes at most its own update's
+    tuple, and liveness (``state.contains``) is re-checked at each
+    update's apply turn. The single hazard is a tuple carrying several live
     suggestions whose earlier suggestion *actually wrote* the row (a
     confirm — rejects and retains never write): such writes close a
     *wave*. Rather than cutting waves statically wherever a tuple
     might write, the batch is cut lazily — ``wrote_database`` applies
     record their tid, and a later update on a recorded tid is simply
-    re-predicted against the live row, exactly what the sequential
-    path would have seen. The common case (no same-tuple write, e.g.
+    re-predicted against the live row, exactly what a one-at-a-time
+    loop would have seen. The common case (no same-tuple write, e.g.
     every single-suggestion-per-tuple pass) is one committee pass for
     the whole list with zero re-predictions.
 
@@ -178,11 +181,6 @@ class InteractiveSession:
         ``n_s``: labels between retrains.
     seed:
         Seed for the random ordering variant.
-    drain:
-        ``"batched"`` (default) delegates through wave-partitioned
-        ``predict_many`` batches against a snapshot view;
-        ``"sequential"`` is the retained predict-one-apply-one
-        reference the batched path must reproduce byte-for-byte.
     """
 
     def __init__(
@@ -196,12 +194,9 @@ class InteractiveSession:
         batch_size: int = 10,
         seed: int = 0,
         max_decision_uncertainty: float = 0.5,
-        drain: str = "batched",
     ) -> None:
         if ordering not in ("uncertainty", "random"):
             raise ValueError(f"ordering must be 'uncertainty' or 'random', got {ordering!r}")
-        if drain not in ("batched", "sequential"):
-            raise ValueError(f"drain must be 'batched' or 'sequential', got {drain!r}")
         self.db = db
         self.state = state
         self.manager = manager
@@ -210,7 +205,6 @@ class InteractiveSession:
         self.ordering = ordering
         self.batch_size = batch_size
         self.max_decision_uncertainty = max_decision_uncertainty
-        self.drain = drain
         self._rng = np.random.default_rng(seed)
 
     @property
@@ -356,27 +350,9 @@ class InteractiveSession:
         confidence alone. Everything else stays in the pool for later
         rounds or further user feedback.
 
-        The default path decides through :func:`decide_batched` — one
-        committee pass over the group against a snapshot view — and is
-        byte-identical to the retained ``drain="sequential"``
-        predict-one-apply-one reference.
+        Decides through :func:`decide_batched` — one committee pass over
+        the group against a snapshot view.
         """
-        alive = self._alive_updates(group)
-        if self.drain == "sequential":
-            for update in alive:
-                if not self.state.contains(update):
-                    continue
-                row = self.db.values_snapshot(update.tid)
-                prediction = self.learner.predict(update, row)
-                if not self._decision_allowed(update, prediction):
-                    continue
-                self.manager.apply_feedback(
-                    update, UserFeedback(prediction.feedback), source="learner"
-                )
-                report.learner_decided += 1
-                if on_learner_decision is not None:
-                    on_learner_decision()
-            return
 
         def applied() -> None:
             report.learner_decided += 1
@@ -388,7 +364,7 @@ class InteractiveSession:
             self.learner,
             self.state,
             self.manager,
-            alive,
+            self._alive_updates(group),
             self._decision_allowed,
             applied,
         )

@@ -20,14 +20,15 @@ with it.
 Step 9 of the GDR process (cover newly dirty tuples, prune clean ones)
 runs in **O(delta)**: the manager holds a
 :class:`~repro.constraints.violations.DirtyDelta` cursor over the
-detector's dirty-set transitions, listens to
-:class:`~repro.repair.state.RepairState` events for coverage changes,
-and records the tuples its own writes revisited — each
-:meth:`ConsistencyManager.refresh_suggestions` walks only that union
-(plus the persistent set of dirty-but-uncoverable tuples, which the
-paper's process re-attempts every round). The full sweep survives as
-:meth:`ConsistencyManager.refresh_suggestions_full`, the
-cross-checked reference path.
+detector's dirty-set transitions and listens to
+:class:`~repro.repair.state.RepairState` events for lost coverage —
+each :meth:`ConsistencyManager.refresh_suggestions` walks only that
+union (plus the persistent set of dirty-but-uncoverable tuples, which
+the paper's process re-attempts every round). A write's revisit
+regenerates its tuples' suggestions itself, so they need no second
+look. The full sweep, :meth:`ConsistencyManager.refresh_suggestions_full`,
+serves the first refresh and any refresh after a state clear, and is
+the reference the delta refresh is tested against.
 """
 
 from __future__ import annotations
@@ -107,9 +108,8 @@ class ConsistencyManager:
         # dirty-status flips since the last refresh, straight from the
         # detector's tracker
         self._dirty_cursor = detector.dirty_delta()
-        # tuples whose coverage or suggestion values may have drifted:
-        # revisited by our own writes, touched by external writes, or
-        # stripped of a suggestion (state REMOVED events)
+        # tuples stripped of a suggestion (state REMOVED events): their
+        # coverage may have drifted
         self._touched: set[int] = set()
         # dirty tuples for which generation produced nothing — the full
         # sweep re-attempts them every round (the database may have
@@ -243,9 +243,12 @@ class ConsistencyManager:
             revisit_attrs.update(rule.attributes)
             if rule.is_variable:
                 affected.update(self.detector.partners(tid, rule))
-        # these tuples' suggestions and coverage may drift; the next
-        # delta refresh re-examines them
-        self._touched.update(affected)
+        # the next refresh need not re-walk these tuples: dirty flips
+        # reach it through the DirtyDelta cursor and lost coverage
+        # through the REMOVED events the pass below fires; the pass
+        # regenerates every changeable cell of them, and the only value
+        # the write changed is the written cell's (frozen after
+        # feedback, regenerated below after an external write)
         # one batched generation pass over every changeable revisited
         # cell (the written one is frozen); it reports the cells that
         # carried a suggestion before or after

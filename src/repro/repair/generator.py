@@ -43,9 +43,9 @@ tuple's, before or after the write — gained or lost a ``B`` value;
 where two values of ``B`` share a ``str()`` it evicts on any change to
 the group. Inserts, deletes and detector rebuilds clear the memo
 wholesale. The per-cell scalar path
-(:meth:`UpdateGenerator.generate_for_cell` with ``batched=False``) is
-retained as the byte-identical reference behind
-``GDRConfig(suggest="scalar")``.
+(:meth:`UpdateGenerator.generate_for_cell`: no memo, one similarity
+call per candidate) is the reference the batched path reproduces
+byte-for-byte, which the tests check.
 
 The best-scoring value that is neither the current value nor in the
 cell's prevented list becomes the cell's live suggestion.
@@ -217,10 +217,6 @@ class UpdateGenerator:
         Update-evaluation function (defaults to Eq. 7 edit-distance
         similarity). A :class:`~repro.repair.similarity.SimilarityCache`
         additionally enables code-space batched scoring.
-    batched:
-        When True (default) :meth:`generate_for_cells` shares witness
-        signatures and batch-scores pools; when False it degrades to
-        the scalar per-cell reference path.
 
     Examples
     --------
@@ -243,14 +239,12 @@ class UpdateGenerator:
         detector: ViolationDetector,
         state: RepairState,
         sim: SimilarityFunction = similarity,
-        batched: bool = True,
     ) -> None:
         self.db = db
         self.rules = rules
         self.detector = detector
         self.state = state
         self.sim = sim
-        self.batched = batched
         # (witness positions, witness codes, target column) -> candidate
         # values; shared by every tuple in the same witness group and
         # invalidated wholesale when the database version moves
@@ -293,9 +287,8 @@ class UpdateGenerator:
         initially assumed potentially incorrect; attributes not involved
         in any violated rule simply yield no suggestion. Iterates the
         detector's incrementally ordered dirty view — no per-pass sort —
-        and (on the batched path) generates every cell through one
-        :meth:`generate_for_cells` call, sharing witness signatures
-        across the whole dirty set.
+        and generates every cell through one :meth:`generate_for_cells`
+        call, sharing witness signatures across the whole dirty set.
         """
         return self.generate_for_tuples(self.detector.dirty_tuples_ordered())
 
@@ -304,8 +297,8 @@ class UpdateGenerator:
 
         Cells are visited in the same order as per-tuple generation
         (tuples in the given order, each tuple's attributes in violated
-        rule order), so the state-event stream is identical to the
-        scalar path's.
+        rule order), so the state-event stream is identical to calling
+        :meth:`generate_for_cell` per cell.
         """
         cells: list[tuple[int, str]] = []
         for tid in tids:
@@ -368,15 +361,6 @@ class UpdateGenerator:
         live suggestion before or after the call is appended to it, in
         cell order.
         """
-        if not self.batched:
-            results = []
-            for cell in cells:
-                had = self.state.get(cell) is not None
-                update = self.generate_for_cell(*cell)
-                if revisited is not None and (had or update is not None):
-                    revisited.append(cell)
-                results.append(update)
-            return results
         self._check_memo_stamp()
         results: list[CandidateUpdate | None] = [None] * len(cells)
         # per cell, 1 once it is known to carry a live suggestion before

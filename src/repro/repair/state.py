@@ -10,7 +10,7 @@ The paper keeps three pieces of state per cell ``⟨t, B⟩``:
 :class:`RepairState` centralises that bookkeeping for the generator,
 the consistency manager and the GDR engine.
 
-Delta pipeline: every mutation of the suggestion pool emits a typed
+Mutation events: every mutation of the suggestion pool emits a typed
 :class:`StateEvent` to registered listeners, so downstream consumers
 (the incremental :class:`~repro.core.grouping.GroupIndex`, the
 consistency manager's O(delta) refresh) can maintain derived structures

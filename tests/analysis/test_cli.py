@@ -43,11 +43,10 @@ class TestExitCodes:
         assert "repolint OK" in text
 
     def test_missing_modules_fail_project_rules(self, tmp_path):
-        # a tree without gdr.py/faults.py breaches the cross-file contracts
+        # a tree without faults.py breaches the cross-file contract
         root = _mini_repo(tmp_path)
         code, text = _run("--root", str(root))
         assert code == 1
-        assert "[parity-coverage]" in text
         assert "[fault-registry]" in text
 
 
@@ -99,7 +98,6 @@ class TestReports:
             "determinism",
             "cache-discipline",
             "fault-registry",
-            "parity-coverage",
         ):
             assert rule_id in text
 

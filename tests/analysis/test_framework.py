@@ -29,19 +29,18 @@ class TestFingerprint:
 
     def test_sensitive_to_everything_else(self):
         base = _finding().fingerprint()
-        assert _finding(rule="parity-coverage").fingerprint() != base
+        assert _finding(rule="fault-registry").fingerprint() != base
         assert _finding(path="src/repro/core/y.py").fingerprint() != base
         assert _finding(message="other").fingerprint() != base
         assert _finding(symbol="g").fingerprint() != base
 
 
 class TestRegistry:
-    def test_all_four_rules_registered(self):
+    def test_all_three_rules_registered(self):
         assert set(RULES) == {
             "determinism",
             "cache-discipline",
             "fault-registry",
-            "parity-coverage",
         }
 
     def test_register_rejects_missing_id(self):
@@ -77,7 +76,7 @@ class TestSuppressions:
         sup = Suppressions.parse("# repolint: disable-file=determinism\n")
         assert sup.suppresses(_finding(line=77))
         sup = Suppressions.parse("f()  # repolint: disable=all\n")
-        assert sup.suppresses(_finding(line=1, rule="parity-coverage"))
+        assert sup.suppresses(_finding(line=1, rule="fault-registry"))
 
     def test_run_rules_drops_suppressed(self, tmp_path):
         bad = "import time\n\n\ndef f():\n    return time.time()  # repolint: disable=determinism\n"

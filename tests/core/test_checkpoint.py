@@ -174,7 +174,8 @@ class TestRestoreErrors:
 
 class TestOldSessionFiles:
     """Session files of older formats: before the ``shards`` knob was
-    removed (format 1) and before committees became node arrays (2)."""
+    removed (format 1), before committees became node arrays (2) and
+    before the reference-path knobs were removed (3)."""
 
     def test_format_1_checkpoint_fails_with_config_error(
         self, figure1_dirty, figure1_clean, figure1_rules, tmp_path
@@ -187,7 +188,7 @@ class TestOldSessionFiles:
         payload["format"] = 1
         payload["config"]["shards"] = 0
         cp.write_bytes(pickle.dumps(payload))
-        with pytest.raises(ConfigError, match="has format 1, expected 3"):
+        with pytest.raises(ConfigError, match="has format 1, expected 4"):
             GDREngine.restore(
                 cp, figure1_rules, GroundTruthOracle(figure1_clean), figure1_clean
             )
@@ -204,7 +205,28 @@ class TestOldSessionFiles:
         payload = pickle.loads(cp.read_bytes())
         payload["format"] = 2
         cp.write_bytes(pickle.dumps(payload))
-        with pytest.raises(ConfigError, match="has format 2, expected 3"):
+        with pytest.raises(ConfigError, match="has format 2, expected 4"):
+            GDREngine.restore(
+                cp, figure1_rules, GroundTruthOracle(figure1_clean), figure1_clean
+            )
+
+    def test_format_3_checkpoint_fails_with_config_error(
+        self, figure1_dirty, figure1_clean, figure1_rules, tmp_path
+    ):
+        """Format 3 configs carry the removed ``pipeline``/``drain``/
+        ``suggest``/``learner`` knobs, which ``GDRConfig`` no longer
+        accepts; the format check must refuse the file first."""
+        engine = make_engine(figure1_dirty, figure1_clean, figure1_rules, tmp_path)
+        cp = tmp_path / "session.cp"
+        engine.checkpoint(cp)
+        engine.detach()
+        payload = pickle.loads(cp.read_bytes())
+        payload["format"] = 3
+        payload["config"].update(
+            pipeline="delta", drain="batched", suggest="batched", learner="hist"
+        )
+        cp.write_bytes(pickle.dumps(payload))
+        with pytest.raises(ConfigError, match="has format 3, expected 4"):
             GDREngine.restore(
                 cp, figure1_rules, GroundTruthOracle(figure1_clean), figure1_clean
             )

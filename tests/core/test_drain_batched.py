@@ -3,10 +3,11 @@ byte-identical parity with the sequential reference, bounded VOI
 caches, and per-rule staleness parity.
 
 The acceptance contract of the batched drain is *byte-for-byte*
-equality with ``drain="sequential"``: same labels, same learner
-decisions in the same order, same trajectory, same final instance —
-for every preset, both datasets, and randomized multi-suggestion
-pools.
+equality with the predict-one-apply-one reference
+(``tests/oracles/drain.py``, patched in for ``decide_batched``): same
+labels, same learner decisions in the same order, same trajectory, same
+final instance — for every preset, both datasets, and randomized
+multi-suggestion pools.
 """
 
 import random
@@ -21,15 +22,23 @@ from repro.db import Database, Schema
 from repro.errors import ConfigError
 from repro.repair import Feedback
 from repro.repair.candidate import CandidateUpdate
+from tests.oracles.drain import use_sequential_drain
+from tests.oracles.pipeline import use_rebuild_pipeline
 
 
-def _run(drain, preset, dataset="hospital", n=120, budget=30, data_seed=7, config_seed=3, **overrides):
+def _run(preset, dataset="hospital", n=120, budget=30, data_seed=7, config_seed=3, **overrides):
     ds = load_dataset(dataset, n=n, seed=data_seed)
     db = ds.fresh_dirty()
-    config = preset(seed=config_seed, drain=drain, **overrides)
+    config = preset(seed=config_seed, **overrides)
     engine = GDREngine(db, ds.rules, GroundTruthOracle(ds.clean), config, clean_db=ds.clean)
     result = engine.run(feedback_limit=budget)
     return db, result, engine
+
+
+def _run_sequential(monkeypatch, *args, **kwargs):
+    with monkeypatch.context() as patch:
+        use_sequential_drain(patch)
+        return _run(*args, **kwargs)
 
 
 def _signature(db, result):
@@ -44,12 +53,29 @@ def _signature(db, result):
 
 
 class TestDrainConfig:
-    def test_default_is_batched(self):
-        assert GDRConfig().drain == "batched"
+    def test_default_is_batched(self, monkeypatch):
+        """Delegation and the drain both decide through ``decide_batched``."""
+        import repro.core.gdr
+        import repro.core.session
+
+        callers = []
+
+        def spy(module):
+            def wrapped(*args):
+                callers.append(module.__name__)
+                return decide_batched(*args)
+
+            monkeypatch.setattr(module, "decide_batched", wrapped)
+
+        spy(repro.core.session)
+        spy(repro.core.gdr)
+        _run(GDRConfig.gdr, n=100, budget=25)
+        assert set(callers) == {"repro.core.session", "repro.core.gdr"}
 
     def test_invalid_drain_rejected(self):
-        with pytest.raises(ConfigError):
-            GDRConfig(drain="bogus")
+        """The sequential drain is test-side only; the knob is gone."""
+        with pytest.raises(TypeError, match="drain"):
+            GDRConfig(drain="sequential")
 
     def test_invalid_capacity_rejected(self):
         with pytest.raises(ConfigError):
@@ -58,8 +84,8 @@ class TestDrainConfig:
     def test_session_rejects_invalid_drain(self):
         from repro.core.session import InteractiveSession
 
-        with pytest.raises(ValueError):
-            InteractiveSession(None, None, None, None, None, drain="bogus")
+        with pytest.raises(TypeError, match="drain"):
+            InteractiveSession(None, None, None, None, None, drain="sequential")
 
 
 class _RecordingLearner:
@@ -208,36 +234,38 @@ class TestByteIdenticalDrain:
         [GDRConfig.gdr, GDRConfig.s_learning, GDRConfig.active_learning],
         ids=["gdr", "s_learning", "active_learning"],
     )
-    def test_batched_matches_sequential_hospital(self, preset):
-        db_b, result_b, __ = _run("batched", preset)
-        db_s, result_s, __ = _run("sequential", preset)
+    def test_batched_matches_sequential_hospital(self, preset, monkeypatch):
+        db_b, result_b, __ = _run(preset)
+        db_s, result_s, __ = _run_sequential(monkeypatch, preset)
         assert _signature(db_b, result_b) == _signature(db_s, result_s)
 
-    def test_batched_matches_sequential_adult(self):
-        db_b, result_b, __ = _run("batched", GDRConfig.gdr, dataset="adult")
-        db_s, result_s, __ = _run("sequential", GDRConfig.gdr, dataset="adult")
+    def test_batched_matches_sequential_adult(self, monkeypatch):
+        db_b, result_b, __ = _run(GDRConfig.gdr, dataset="adult")
+        db_s, result_s, __ = _run_sequential(monkeypatch, GDRConfig.gdr, dataset="adult")
         assert _signature(db_b, result_b) == _signature(db_s, result_s)
 
-    def test_batched_matches_sequential_rebuild_pipeline(self):
-        kwargs = dict(pipeline="rebuild", n=80, budget=20)
-        db_b, result_b, __ = _run("batched", GDRConfig.gdr, **kwargs)
-        db_s, result_s, __ = _run("sequential", GDRConfig.gdr, **kwargs)
+    def test_batched_matches_sequential_rebuild_pipeline(self, monkeypatch):
+        with monkeypatch.context() as patch:
+            use_rebuild_pipeline(patch)
+            db_b, result_b, __ = _run(GDRConfig.gdr, n=80, budget=20)
+            use_sequential_drain(patch)
+            db_s, result_s, __ = _run(GDRConfig.gdr, n=80, budget=20)
         assert _signature(db_b, result_b) == _signature(db_s, result_s)
 
     @pytest.mark.parametrize("seed", [0, 11, 23])
-    def test_property_randomized_multi_suggestion_pools(self, seed):
+    def test_property_randomized_multi_suggestion_pools(self, seed, monkeypatch):
         """Ungrouped pools put several suggestions on one tuple, forcing
         wave boundaries; randomized corruption seeds vary which tuples
         carry them. The decision stream must match regardless."""
         kwargs = dict(dataset="hospital", n=100, budget=25, data_seed=seed, config_seed=seed)
-        db_b, result_b, engine_b = _run("batched", GDRConfig.active_learning, **kwargs)
-        db_s, result_s, __ = _run("sequential", GDRConfig.active_learning, **kwargs)
+        db_b, result_b, engine_b = _run(GDRConfig.active_learning, **kwargs)
+        db_s, result_s, __ = _run_sequential(monkeypatch, GDRConfig.active_learning, **kwargs)
         assert _signature(db_b, result_b) == _signature(db_s, result_s)
 
     def test_run_without_drain_plus_drain_remaining_equals_full_run(self):
         """``run(drain=False)`` followed by ``drain_remaining()`` is the
-        full run, decision for decision — the seam the drain benchmark
-        relies on to time the automatic phase in isolation."""
+        full run, decision for decision — the seam that isolates the
+        Figure 5 automatic phase."""
 
         def build():
             ds = load_dataset("hospital", n=100, seed=7)
@@ -284,10 +312,8 @@ class TestByteIdenticalDrain:
 
 class TestBoundedCaches:
     def test_forced_small_capacity_evicts_and_preserves_results(self):
-        db_small, result_small, engine_small = _run(
-            "batched", GDRConfig.gdr, voi_cache_capacity=8
-        )
-        db_big, result_big, engine_big = _run("batched", GDRConfig.gdr)
+        db_small, result_small, engine_small = _run(GDRConfig.gdr, voi_cache_capacity=8)
+        db_big, result_big, engine_big = _run(GDRConfig.gdr)
         # stored p̃ vectors are bounded by the live pool, whatever the
         # capacity: after a refresh they hold exactly one value per
         # live suggestion, one vector per live group
@@ -306,7 +332,7 @@ class TestBoundedCaches:
         assert _signature(db_small, result_small) == _signature(db_big, result_big)
 
     def test_stats_counters_populated_on_default_run(self):
-        __, __, engine = _run("batched", GDRConfig.gdr)
+        __, __, engine = _run(GDRConfig.gdr)
         stats = engine.benefit_cache.stats
         assert stats["prob_memo_hits"] > 0
         assert stats["prob_memo_misses"] > 0
@@ -319,7 +345,7 @@ class TestPerRuleStalenessParity:
     def test_cache_matches_rebuild_ranking_after_run(self):
         """The stamped cache (per-rule staleness, memoised p̃) must rank
         exactly like a from-scratch ``rank_groups`` over the live pool."""
-        __, __, engine = _run("batched", GDRConfig.gdr, budget=20)
+        __, __, engine = _run(GDRConfig.gdr, budget=20)
         engine.manager.refresh_suggestions()
         cached = engine.benefit_cache.rank_all(engine.probability)
         rebuilt = engine.voi.rank_groups(engine.group_index.groups(), engine.probability)

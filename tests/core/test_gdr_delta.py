@@ -1,26 +1,34 @@
-"""Delta-pipeline tests: rebuild parity and the learner drain.
+"""Engine-loop tests: rebuild parity and the learner drain.
 
-The rebuild pipeline is the retained reference implementation; the
-delta pipeline must reproduce its :class:`GDRResult` byte-for-byte for
-fixed seeds — same labels, same learner decisions, same trajectory,
-same final instance.
+The engine drives each iteration from incremental structures (O(delta)
+refresh, the event-maintained group index, the benefit cache). It must
+reproduce, byte-for-byte for fixed seeds, the :class:`GDRResult` of the
+test-side rebuild reference (``tests/oracles/pipeline.py``), which
+re-scans, re-groups and re-ranks everything per iteration — same
+labels, same learner decisions, same trajectory, same final instance.
 """
 
 import pytest
 
 from repro.core import GDRConfig, GDREngine, GroundTruthOracle, LearnerPrediction
 from repro.datasets import load_dataset
-from repro.errors import ConfigError
 from repro.repair import Feedback, UserFeedback
+from tests.oracles.pipeline import use_rebuild_pipeline
 
 
-def _run(pipeline, preset, n=150, budget=40, data_seed=7, config_seed=3, **overrides):
+def _run(preset, n=150, budget=40, data_seed=7, config_seed=3, **overrides):
     ds = load_dataset("hospital", n=n, seed=data_seed)
     db = ds.fresh_dirty()
-    config = preset(seed=config_seed, pipeline=pipeline, **overrides)
+    config = preset(seed=config_seed, **overrides)
     engine = GDREngine(db, ds.rules, GroundTruthOracle(ds.clean), config, clean_db=ds.clean)
     result = engine.run(feedback_limit=budget)
     return db, result, engine
+
+
+def _run_rebuild(monkeypatch, *args, **kwargs):
+    with monkeypatch.context() as patch:
+        use_rebuild_pipeline(patch)
+        return _run(*args, **kwargs)
 
 
 def _trajectory(result):
@@ -29,22 +37,22 @@ def _trajectory(result):
 
 class TestPipelineConfig:
     def test_default_is_delta(self):
-        assert GDRConfig().pipeline == "delta"
+        """Every ranking runs on the event-maintained group index; VOI
+        adds the benefit cache."""
+        ds = load_dataset("hospital", n=60, seed=0)
+        for ranking in ("voi", "greedy", "random"):
+            engine = GDREngine(
+                ds.fresh_dirty(), ds.rules, GroundTruthOracle(ds.clean),
+                GDRConfig(ranking=ranking),
+            )
+            assert engine.group_index.verify()
+            assert (engine.benefit_cache is not None) == (ranking == "voi")
+            engine.detach()
 
     def test_invalid_pipeline_rejected(self):
-        with pytest.raises(ConfigError):
-            GDRConfig(pipeline="bogus")
-
-    def test_rebuild_engine_builds_no_index(self):
-        ds = load_dataset("hospital", n=60, seed=0)
-        engine = GDREngine(
-            ds.fresh_dirty(),
-            ds.rules,
-            GroundTruthOracle(ds.clean),
-            GDRConfig.gdr(pipeline="rebuild"),
-        )
-        assert engine.group_index is None
-        assert engine.benefit_cache is None
+        """The rebuild pipeline is test-side only; the knob is gone."""
+        with pytest.raises(TypeError, match="pipeline"):
+            GDRConfig(pipeline="rebuild")
 
     def test_delta_engine_builds_index_and_cache(self):
         ds = load_dataset("hospital", n=60, seed=0)
@@ -62,9 +70,9 @@ class TestByteIdenticalParity:
         [GDRConfig.gdr, GDRConfig.s_learning, GDRConfig.active_learning, GDRConfig.no_learning],
         ids=["gdr", "s_learning", "active_learning", "no_learning"],
     )
-    def test_delta_matches_rebuild(self, preset):
-        db_delta, result_delta, __ = _run("delta", preset)
-        db_rebuild, result_rebuild, __ = _run("rebuild", preset)
+    def test_delta_matches_rebuild(self, preset, monkeypatch):
+        db_delta, result_delta, __ = _run(preset)
+        db_rebuild, result_rebuild, __ = _run_rebuild(monkeypatch, preset)
         assert db_delta.equals_data(db_rebuild)
         assert result_delta.feedback_used == result_rebuild.feedback_used
         assert result_delta.learner_decisions == result_rebuild.learner_decisions
@@ -75,35 +83,38 @@ class TestByteIdenticalParity:
         assert result_delta.remaining_dirty == result_rebuild.remaining_dirty
 
     @pytest.mark.parametrize("ranking", ["greedy", "random"])
-    def test_baseline_rankings_match(self, ranking):
+    def test_baseline_rankings_match(self, ranking, monkeypatch):
         kwargs = dict(ranking=ranking, learning="none", use_benefit_quota=False)
-        db_delta, result_delta, __ = _run("delta", GDRConfig, **kwargs)
-        db_rebuild, result_rebuild, __ = _run("rebuild", GDRConfig, **kwargs)
+        db_delta, result_delta, __ = _run(GDRConfig, **kwargs)
+        db_rebuild, result_rebuild, __ = _run_rebuild(monkeypatch, GDRConfig, **kwargs)
         assert db_delta.equals_data(db_rebuild)
         assert _trajectory(result_delta) == _trajectory(result_rebuild)
 
-    def test_adult_dataset_parity(self):
-        def run(pipeline):
+    def test_adult_dataset_parity(self, monkeypatch):
+        def run():
             ds = load_dataset("adult", n=120, seed=2)
             db = ds.fresh_dirty()
             engine = GDREngine(
                 db,
                 ds.rules,
                 GroundTruthOracle(ds.clean),
-                GDRConfig.gdr(seed=1, pipeline=pipeline),
+                GDRConfig.gdr(seed=1),
                 clean_db=ds.clean,
             )
             return db, engine.run(feedback_limit=30)
 
-        db_delta, result_delta = run("delta")
-        db_rebuild, result_rebuild = run("rebuild")
+        db_delta, result_delta = run()
+        with monkeypatch.context() as patch:
+            use_rebuild_pipeline(patch)
+            db_rebuild, result_rebuild = run()
         assert db_delta.equals_data(db_rebuild)
         assert _trajectory(result_delta) == _trajectory(result_rebuild)
 
     def test_greedy_pick_matches_rebuild_ranking(self):
         """The delta greedy pick reads sizes off the index's cached key
         order; it must select exactly what the rebuild path's
-        ``GreedyRanking`` puts first, at every iteration state."""
+        ``GreedyRanking`` puts first over fresh groups, at every
+        iteration state."""
         from repro.core.grouping import group_updates
         from repro.core.ranking import GreedyRanking
 
@@ -140,7 +151,7 @@ class TestByteIdenticalParity:
         engine.detach()
 
     def test_substrate_stays_verified_after_run(self):
-        __, __, engine = _run("delta", GDRConfig.gdr)
+        __, __, engine = _run(GDRConfig.gdr)
         assert engine.detector.verify()
         assert engine.group_index.verify()
 
@@ -189,12 +200,11 @@ class _ScriptedLearner:
         return 0
 
 
-def _drain_engine(grouping=True, pipeline="delta"):
+def _drain_engine(grouping=True):
     ds = load_dataset("hospital", n=80, seed=4)
     db = ds.fresh_dirty()
     config = GDRConfig(
-        ranking="voi", learning="none", grouping=grouping,
-        use_benefit_quota=False, pipeline=pipeline,
+        ranking="voi", learning="none", grouping=grouping, use_benefit_quota=False
     )
     engine = GDREngine(db, ds.rules, GroundTruthOracle(ds.clean), config, clean_db=ds.clean)
     return engine
@@ -263,20 +273,18 @@ class TestDrainWithLearner:
         engine.learner = _ScriptedLearner(feedback=Feedback.CONFIRM, trusted=False)
         assert engine._drain_with_learner(lambda: None) == 0
 
-    def test_drain_parity_across_pipelines(self):
-        from repro.core import group_updates
-
-        outcomes = {}
-        for pipeline in ("delta", "rebuild"):
-            engine = _drain_engine(grouping=True, pipeline=pipeline)
+    def test_drain_parity_across_pipelines(self, monkeypatch):
+        def drain():
+            engine = _drain_engine(grouping=True)
             engine.learner = _ScriptedLearner(feedback=Feedback.CONFIRM)
-            if engine.group_index is not None:
-                keys = engine.group_index.keys()
-            else:
-                keys = [g.key for g in group_updates(engine.state.updates())]
-            engine._visited_groups.update(keys[:2])
+            engine._visited_groups.update(engine.group_index.keys()[:2])
             decided = engine._drain_with_learner(lambda: None, max_passes=3)
-            outcomes[pipeline] = (decided, engine.db.snapshot())
+            return decided, engine.db.snapshot()
+
+        outcomes = {"delta": drain()}
+        with monkeypatch.context() as patch:
+            use_rebuild_pipeline(patch)
+            outcomes["rebuild"] = drain()
         decided_delta, db_delta = outcomes["delta"]
         decided_rebuild, db_rebuild = outcomes["rebuild"]
         assert decided_delta == decided_rebuild

@@ -1,28 +1,33 @@
-"""Learner config tests: `learner="hist"` vs `"exact"`.
+"""Learner tests: histogram committees vs the exact-sort reference.
 
 The histogram committees (fused split search, batched inference, warm
-binned refits) must reproduce the exact-sort reference's ``GDRResult``
+binned refits) must reproduce the ``GDRResult`` of a session whose
+committees are the exact-sort CART reference (``tests/oracles/learner.py``)
 byte-for-byte for fixed seeds — same labels, same learner decisions,
-same trajectory, same final instance — mirroring the
-``pipeline``/``drain``/``suggest`` reference-path discipline.
+same trajectory, same final instance.
 """
 
 import pytest
 
 from repro.core import GDRConfig, GDREngine, GroundTruthOracle
 from repro.datasets import load_dataset
-from repro.errors import ConfigError
 from repro.ml.forest import HistogramForestClassifier
+from tests.oracles.learner import use_exact_learner
 
 
-def _run(learner, preset, dataset="hospital", n=150, budget=40, data_seed=7,
-         config_seed=3, **overrides):
+def _run(preset, dataset="hospital", n=150, budget=40, data_seed=7, config_seed=3, **overrides):
     ds = load_dataset(dataset, n=n, seed=data_seed)
     db = ds.fresh_dirty()
-    config = preset(seed=config_seed, learner=learner, **overrides)
+    config = preset(seed=config_seed, **overrides)
     engine = GDREngine(db, ds.rules, GroundTruthOracle(ds.clean), config, clean_db=ds.clean)
     result = engine.run(feedback_limit=budget)
     return db, result, engine
+
+
+def _run_exact(monkeypatch, *args, **kwargs):
+    with monkeypatch.context() as patch:
+        use_exact_learner(patch)
+        return _run(*args, **kwargs)
 
 
 def _trajectory(result):
@@ -30,27 +35,10 @@ def _trajectory(result):
 
 
 class TestLearnerConfig:
-    def test_default_is_hist(self):
-        assert GDRConfig().learner == "hist"
-
     def test_invalid_learner_rejected(self):
-        with pytest.raises(ConfigError):
-            GDRConfig(learner="bogus")
-
-    def test_engine_passes_kind_to_learner(self):
-        ds = load_dataset("hospital", n=60, seed=0)
-        hist = GDREngine(
-            ds.fresh_dirty(), ds.rules, GroundTruthOracle(ds.clean), GDRConfig.gdr()
-        )
-        assert hist.learner.kind == "hist"
-        hist.detach()
-        exact = GDREngine(
-            ds.fresh_dirty(),
-            ds.rules,
-            GroundTruthOracle(ds.clean),
-            GDRConfig.gdr(learner="exact"),
-        )
-        assert exact.learner.kind == "exact"
+        """The exact-sort committees are test-side only; the knob is gone."""
+        with pytest.raises(TypeError, match="learner"):
+            GDRConfig(learner="exact")
 
 
 class TestByteIdenticalLearnerParity:
@@ -59,9 +47,9 @@ class TestByteIdenticalLearnerParity:
         [GDRConfig.gdr, GDRConfig.s_learning, GDRConfig.active_learning, GDRConfig.no_learning],
         ids=["gdr", "s_learning", "active_learning", "no_learning"],
     )
-    def test_hist_matches_exact(self, preset):
-        db_h, result_h, __ = _run("hist", preset)
-        db_e, result_e, __ = _run("exact", preset)
+    def test_hist_matches_exact(self, preset, monkeypatch):
+        db_h, result_h, __ = _run(preset)
+        db_e, result_e, __ = _run_exact(monkeypatch, preset)
         assert db_h.equals_data(db_e)
         assert result_h.feedback_used == result_e.feedback_used
         assert result_h.learner_decisions == result_e.learner_decisions
@@ -71,16 +59,15 @@ class TestByteIdenticalLearnerParity:
         assert _trajectory(result_h) == _trajectory(result_e)
         assert result_h.remaining_dirty == result_e.remaining_dirty
 
-    def test_adult_dataset_parity(self):
-        db_h, result_h, __ = _run("hist", GDRConfig.gdr, dataset="adult", n=120,
-                                  budget=30, data_seed=2, config_seed=1)
-        db_e, result_e, __ = _run("exact", GDRConfig.gdr, dataset="adult", n=120,
-                                  budget=30, data_seed=2, config_seed=1)
+    def test_adult_dataset_parity(self, monkeypatch):
+        kwargs = dict(dataset="adult", n=120, budget=30, data_seed=2, config_seed=1)
+        db_h, result_h, __ = _run(GDRConfig.gdr, **kwargs)
+        db_e, result_e, __ = _run_exact(monkeypatch, GDRConfig.gdr, **kwargs)
         assert db_h.equals_data(db_e)
         assert _trajectory(result_h) == _trajectory(result_e)
 
     def test_hist_committees_actually_used(self):
-        __, __, engine = _run("hist", GDRConfig.gdr)
+        __, __, engine = _run(GDRConfig.gdr)
         fitted = [m for m in engine.learner._models.values() if m is not None]
         assert fitted
         assert all(isinstance(m, HistogramForestClassifier) for m in fitted)

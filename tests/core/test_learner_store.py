@@ -1,5 +1,6 @@
 """Warm-started learner store: growable matrices, incremental binning,
-hist/exact kind parity, export-format round trips, refit atomicity."""
+parity with the exact-sort reference, export-format round trips, refit
+atomicity."""
 
 import numpy as np
 import pytest
@@ -7,11 +8,12 @@ import pytest
 from repro.core import FeedbackLearner
 from repro.core.learner import _ExampleStore
 from repro.db import Schema
-from repro.errors import ConfigError
 from repro.ml.binning import bin_matrix
+from repro.ml.encoding import FEEDBACK_CLASSES
 from repro.ml.forest import HistogramForestClassifier, RandomForestClassifier
 from repro.repair import CandidateUpdate, Feedback
 from repro.testing import SessionKilled, arm, fault_scope
+from tests.oracles.learner import random_state
 
 
 @pytest.fixture()
@@ -93,34 +95,35 @@ class TestExampleStore:
 
 class TestLearnerKinds:
     def test_invalid_kind_rejected(self, schema):
-        with pytest.raises(ConfigError):
-            FeedbackLearner(schema, kind="bogus")
-
-    def test_default_kind_is_hist(self, schema):
-        learner = FeedbackLearner(schema)
-        assert learner.kind == "hist"
+        """The exact-sort committees are test-side only; ``kind`` is gone."""
+        with pytest.raises(TypeError, match="kind"):
+            FeedbackLearner(schema, kind="exact")
 
     def test_hist_model_class(self, schema):
         learner = FeedbackLearner(schema, min_examples=5, seed=0)
         teach(learner)
         assert isinstance(learner._models["city"], HistogramForestClassifier)
 
-    def test_exact_model_class(self, schema):
-        learner = FeedbackLearner(schema, min_examples=5, seed=0, kind="exact")
-        teach(learner)
-        assert type(learner._models["city"]) is RandomForestClassifier
-
     def test_hist_and_exact_agree_bit_for_bit(self, schema):
         hist = FeedbackLearner(schema, min_examples=5, seed=3)
-        exact = FeedbackLearner(schema, min_examples=5, seed=3, kind="exact")
         teach(hist)
-        teach(exact)
-        for ph, pe in zip(probe_predictions(hist), probe_predictions(exact)):
-            assert ph.feedback is pe.feedback
-            assert ph.confirm_probability == pe.confirm_probability
-            assert ph.uncertainty == pe.uncertainty
-        th = hist._models["city"].trees
-        te = exact._models["city"].trees
+        store = hist._stores["city"]
+        exact = RandomForestClassifier(
+            n_estimators=hist.n_estimators,
+            max_depth=hist.max_depth,
+            min_samples_leaf=hist.min_samples_leaf,
+            random_state=random_state(hist, "city"),
+        ).fit(store.X, store.y, n_classes=len(FEEDBACK_CLASSES))
+        model = hist._models["city"]
+        for features in store.X:
+            label, fractions, uncertainty = model.predict_one(features)
+            want_label, want_fractions, want_uncertainty = exact.predict_one(features)
+            assert label == want_label
+            assert np.array_equal(fractions, want_fractions)
+            assert uncertainty == want_uncertainty
+        th = model.trees
+        te = exact.trees
+        assert len(th) == len(te) == hist.n_estimators
         for a, b in zip(te, th):
             assert np.array_equal(a._feature, b._feature)
             assert np.array_equal(a._threshold, b._threshold)

@@ -2,8 +2,8 @@
 
 The histogram CART and forest are required to reproduce the exact
 reference *bit for bit* — same RNG stream, same float64 arithmetic,
-same tie-breaks — which is what lets ``learner="hist"`` be the engine
-default without regolding a single trajectory. These tests pin that
+same tie-breaks — which is what lets the histogram forest be the
+learner's only committee without regolding a single trajectory. These tests pin that
 contract with randomized property sweeps over the node arrays
 themselves, not just predictions.
 """

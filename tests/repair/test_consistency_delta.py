@@ -21,8 +21,12 @@ from repro.repair import (
 )
 
 
-def _build(n=100, seed=3):
-    ds = load_dataset("hospital", n=n, seed=seed)
+#: (dataset, data seed) instances the scripted parity scenarios sweep
+SCENARIOS = [(dataset, seed) for dataset in ("hospital", "adult") for seed in (3, 5, 11)]
+
+
+def _build(n=100, seed=3, dataset="hospital"):
+    ds = load_dataset(dataset, n=n, seed=seed)
     db = ds.fresh_dirty()
     detector = ViolationDetector(db, ds.rules)
     state = RepairState()
@@ -32,58 +36,75 @@ def _build(n=100, seed=3):
     return ds, db, detector, state, generator, manager
 
 
+def _scripted_scenario(dataset, seed):
+    """Same feedback stream, delta vs full refresh → same pools."""
+    ds_a, db_a, __, state_a, __, manager_a = _build(seed=seed, dataset=dataset)
+    ds_b, db_b, __, state_b, __, manager_b = _build(seed=seed, dataset=dataset)
+    rng = random.Random(17 + seed)
+    manager_a.refresh_suggestions()
+    manager_b.refresh_suggestions_full()
+    assert state_a.updates() == state_b.updates()
+    rounds = 0
+    while rounds < 30 and len(state_a):
+        updates_a = state_a.updates()
+        updates_b = state_b.updates()
+        assert updates_a == updates_b
+        pick = rng.randrange(len(updates_a))
+        update = updates_a[pick]
+        clean_value = ds_a.clean.value(update.tid, update.attribute)
+        roll = rng.random()
+        if roll < 0.45:
+            feedback = UserFeedback(Feedback.CONFIRM)
+        elif roll < 0.7:
+            feedback = UserFeedback(Feedback.REJECT, correction=clean_value)
+        elif roll < 0.85:
+            feedback = UserFeedback(Feedback.REJECT)
+        else:
+            feedback = UserFeedback(Feedback.RETAIN)
+        manager_a.apply_feedback(updates_a[pick], feedback)
+        manager_b.apply_feedback(updates_b[pick], feedback)
+        manager_a.refresh_suggestions()
+        manager_b.refresh_suggestions_full()
+        where = f"{dataset} seed {seed} diverged at round {rounds}"
+        assert state_a.updates() == state_b.updates(), where
+        assert state_a.frozen_cells() == state_b.frozen_cells(), where
+        assert db_a.equals_data(db_b), where
+        rounds += 1
+    assert rounds > 10
+
+
+def _external_writes(dataset, seed):
+    """Out-of-band writes on rule attributes (existing and new values),
+    delta vs full refresh → same pools."""
+    ds, db_a, __, state_a, __, manager_a = _build(seed=seed, dataset=dataset)
+    __, db_b, __, state_b, __, manager_b = _build(seed=seed, dataset=dataset)
+    manager_a.refresh_suggestions()
+    manager_b.refresh_suggestions_full()
+    rng = random.Random(23 + seed)
+    tids = db_a.tids()
+    attrs = sorted({attr for rule in ds.rules for attr in rule.attributes})
+    for __round in range(12):
+        tid = tids[rng.randrange(len(tids))]
+        attr = rng.choice(attrs)
+        # another tuple's value (moves partitions) or one new to the column
+        value = rng.choice([db_a.value(rng.choice(tids), attr), f"new-{__round % 3}"])
+        db_a.set_value(tid, attr, value)
+        db_b.set_value(tid, attr, value)
+        manager_a.refresh_suggestions()
+        manager_b.refresh_suggestions_full()
+        assert state_a.updates() == state_b.updates(), (
+            f"{dataset} seed {seed} diverged at round {__round}"
+        )
+
+
 class TestDeltaRefreshParity:
     def test_scripted_scenario_stays_identical(self):
-        """Same feedback stream, delta vs full refresh → same pools."""
-        ds_a, db_a, __, state_a, __, manager_a = _build()
-        ds_b, db_b, __, state_b, __, manager_b = _build()
-        rng = random.Random(17)
-        manager_a.refresh_suggestions()
-        manager_b.refresh_suggestions_full()
-        assert state_a.updates() == state_b.updates()
-        rounds = 0
-        while rounds < 30 and len(state_a):
-            updates_a = state_a.updates()
-            updates_b = state_b.updates()
-            assert updates_a == updates_b
-            pick = rng.randrange(len(updates_a))
-            update = updates_a[pick]
-            clean_value = ds_a.clean.value(update.tid, update.attribute)
-            roll = rng.random()
-            if roll < 0.45:
-                feedback = UserFeedback(Feedback.CONFIRM)
-            elif roll < 0.7:
-                feedback = UserFeedback(Feedback.REJECT, correction=clean_value)
-            elif roll < 0.85:
-                feedback = UserFeedback(Feedback.REJECT)
-            else:
-                feedback = UserFeedback(Feedback.RETAIN)
-            manager_a.apply_feedback(updates_a[pick], feedback)
-            manager_b.apply_feedback(updates_b[pick], feedback)
-            manager_a.refresh_suggestions()
-            manager_b.refresh_suggestions_full()
-            assert state_a.updates() == state_b.updates(), f"diverged at round {rounds}"
-            assert state_a.frozen_cells() == state_b.frozen_cells()
-            assert db_a.equals_data(db_b)
-            rounds += 1
-        assert rounds > 10
+        for dataset, seed in SCENARIOS:
+            _scripted_scenario(dataset, seed)
 
     def test_external_writes_parity(self):
-        __, db_a, __, state_a, __, manager_a = _build(seed=5)
-        __, db_b, __, state_b, __, manager_b = _build(seed=5)
-        manager_a.refresh_suggestions()
-        manager_b.refresh_suggestions_full()
-        rng = random.Random(23)
-        tids = db_a.tids()
-        for __round in range(12):
-            tid = tids[rng.randrange(len(tids))]
-            attr = rng.choice(["zip", "city", "state"])
-            value = rng.choice(["00000", "Ax", "ZZ", "46360"])
-            db_a.set_value(tid, attr, value)
-            db_b.set_value(tid, attr, value)
-            manager_a.refresh_suggestions()
-            manager_b.refresh_suggestions_full()
-            assert state_a.updates() == state_b.updates(), f"diverged at round {__round}"
+        for dataset, seed in SCENARIOS:
+            _external_writes(dataset, seed)
 
     def test_second_refresh_is_noop(self):
         __, __, __, state, __, manager = _build()

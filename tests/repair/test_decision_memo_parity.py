@@ -74,9 +74,7 @@ def _assert_parity(engine) -> None:
         for attr in generator._tuple_attrs(detector.violated_rules(tid))
     ]
     reference_state = _clone_state(engine.state)
-    reference = UpdateGenerator(
-        engine.db, engine.rules, detector, reference_state, batched=False
-    )
+    reference = UpdateGenerator(engine.db, engine.rules, detector, reference_state)
     try:
         want = [reference.generate_for_cell(*cell) for cell in cells]
     finally:

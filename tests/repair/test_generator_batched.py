@@ -1,4 +1,5 @@
-"""Batched suggestion-engine tests: `generate_for_cells` vs the scalar path."""
+"""Batched suggestion-engine tests: `generate_for_cells` vs the per-cell
+reference (``tests/oracles/suggest.py``)."""
 
 import pytest
 
@@ -6,16 +7,16 @@ from repro.constraints import RuleSet, ViolationDetector, parse_rules
 from repro.datasets import load_dataset
 from repro.db import Database, Schema
 from repro.repair import RepairState, SimilarityCache, UpdateGenerator
+from tests.oracles.suggest import scalar
 
 
-def _substrate(ds, batched, sim=None):
+def _substrate(ds, per_cell=False):
     db = ds.fresh_dirty()
     detector = ViolationDetector(db, ds.rules)
     state = RepairState()
-    kwargs = {"batched": batched}
-    if sim is not None:
-        kwargs["sim"] = sim
-    generator = UpdateGenerator(db, ds.rules, detector, state, **kwargs)
+    generator = UpdateGenerator(db, ds.rules, detector, state)
+    if per_cell:
+        scalar(generator)
     return db, detector, state, generator
 
 
@@ -34,8 +35,8 @@ def _pool(state):
 @pytest.mark.parametrize("dataset,n", [("hospital", 200), ("adult", 150)])
 def test_generate_all_matches_scalar(dataset, n):
     ds = load_dataset(dataset, n=n, seed=11)
-    __, __, state_b, gen_b = _substrate(ds, batched=True)
-    __, __, state_s, gen_s = _substrate(ds, batched=False)
+    __, __, state_b, gen_b = _substrate(ds)
+    __, __, state_s, gen_s = _substrate(ds, per_cell=True)
     produced_b = gen_b.generate_all()
     produced_s = gen_s.generate_all()
     assert [u.cell for u in produced_b] == [u.cell for u in produced_s]
@@ -51,9 +52,9 @@ def test_generate_all_matches_scalar_with_code_space_cache():
     detector = ViolationDetector(db, ds.rules)
     state_b = RepairState()
     cache = SimilarityCache(db.columns)
-    gen_b = UpdateGenerator(db, ds.rules, detector, state_b, sim=cache, batched=True)
+    gen_b = UpdateGenerator(db, ds.rules, detector, state_b, sim=cache)
     gen_b.generate_all()
-    __, __, state_s, gen_s = _substrate(ds, batched=False)
+    __, __, state_s, gen_s = _substrate(ds, per_cell=True)
     gen_s.generate_all()
     assert _pool(state_b) == _pool(state_s)
     assert cache.stats["hits"] + cache.stats["misses"] > 0
@@ -61,7 +62,7 @@ def test_generate_all_matches_scalar_with_code_space_cache():
 
 def test_generate_for_cells_interleaves_like_per_cell_calls():
     ds = load_dataset("hospital", n=120, seed=5)
-    db, detector, state, gen = _substrate(ds, batched=True)
+    db, detector, state, gen = _substrate(ds)
     dirty = list(detector.dirty_tuples_ordered())[:10]
     cells = []
     for tid in dirty:
@@ -87,7 +88,7 @@ def test_prevented_cell_not_shared_with_witness_twin():
     rules = RuleSet(parse_rules("(zip -> city, {46360 || 'Michigan City'})"))
     detector = ViolationDetector(db, rules)
     state = RepairState()
-    gen = UpdateGenerator(db, rules, detector, state, batched=True)
+    gen = UpdateGenerator(db, rules, detector, state)
     state.prevent((0, "city"), "Michigan City")
     results = gen.generate_for_cells([(0, "city"), (1, "city")])
     assert results[0] is None  # only candidate prevented
@@ -96,11 +97,11 @@ def test_prevented_cell_not_shared_with_witness_twin():
 
 def test_witness_twins_share_one_decision():
     ds = load_dataset("hospital", n=100, seed=2)
-    db, detector, state, gen = _substrate(ds, batched=True)
+    db, detector, state, gen = _substrate(ds)
     gen.generate_all()
     # duplicate a dirty tuple's suggestion situation: regenerate twice,
     # then cross-check the scalar path agrees cell by cell
-    __, __, state_s, gen_s = _substrate(ds, batched=False)
+    __, __, state_s, gen_s = _substrate(ds, per_cell=True)
     gen_s.generate_all()
     assert _pool(state) == _pool(state_s)
 
@@ -117,7 +118,7 @@ class TestRhsHistogramMemo:
         rules = RuleSet(parse_rules("(street, city -> zip, {-, - || -})"), schema=schema)
         detector = ViolationDetector(db, rules)
         state = RepairState()
-        gen = UpdateGenerator(db, rules, detector, state, batched=True)
+        gen = UpdateGenerator(db, rules, detector, state)
         return db, rules, detector, gen
 
     def test_partition_shares_one_histogram(self):
@@ -173,7 +174,7 @@ class TestRhsHistogramMemo:
 class TestCrossBatchDecisionMemo:
     def test_repeat_pass_skips_selection(self, monkeypatch):
         ds = load_dataset("hospital", n=120, seed=4)
-        db, detector, state, gen = _substrate(ds, batched=True)
+        db, detector, state, gen = _substrate(ds)
         gen.generate_all()
         size = gen.stats["decision_memo_size"]
         assert size
@@ -193,7 +194,7 @@ class TestCrossBatchDecisionMemo:
 
     def test_db_write_invalidates(self):
         ds = load_dataset("hospital", n=120, seed=4)
-        db, detector, state, gen = _substrate(ds, batched=True)
+        db, detector, state, gen = _substrate(ds)
         gen.generate_all()
         size = gen.stats["decision_memo_size"]
         tid = next(iter(detector.dirty_tuples()))
@@ -217,8 +218,8 @@ class TestCrossBatchDecisionMemo:
         # generator (memo carried and invalidated across passes) and a
         # long-lived scalar reference; pools must agree after every pass
         ds = load_dataset("hospital", n=120, seed=9)
-        db_b, det_b, state_b, gen_b = _substrate(ds, batched=True)
-        db_s, det_s, state_s, gen_s = _substrate(ds, batched=False)
+        db_b, det_b, state_b, gen_b = _substrate(ds)
+        db_s, det_s, state_s, gen_s = _substrate(ds, per_cell=True)
         gen_b.generate_all()
         gen_s.generate_all()
         assert _pool(state_b) == _pool(state_s)
@@ -238,7 +239,7 @@ class TestCrossBatchDecisionMemo:
         import repro.repair.generator as gen_mod
 
         ds = load_dataset("hospital", n=80, seed=4)
-        __, __, __, gen = _substrate(ds, batched=True)
+        __, __, __, gen = _substrate(ds)
         monkeypatch.setattr(gen_mod, "_DECISION_MEMO_CAPACITY", 1)
         gen.generate_all()
         assert gen.stats["decision_memo_size"] <= 1
@@ -246,7 +247,7 @@ class TestCrossBatchDecisionMemo:
 
     def test_detach_clears(self):
         ds = load_dataset("hospital", n=80, seed=4)
-        db, __, __, gen = _substrate(ds, batched=True)
+        db, __, __, gen = _substrate(ds)
         gen.generate_all()
         gen.detach()
         assert gen.stats["decision_memo_size"] == 0
@@ -259,8 +260,8 @@ def test_regeneration_after_writes_matches_scalar():
     """Drive identical write sequences through both modes and compare
     the regenerated pools after every write."""
     ds = load_dataset("hospital", n=120, seed=9)
-    db_b, det_b, state_b, gen_b = _substrate(ds, batched=True)
-    db_s, det_s, state_s, gen_s = _substrate(ds, batched=False)
+    db_b, det_b, state_b, gen_b = _substrate(ds)
+    db_s, det_s, state_s, gen_s = _substrate(ds, per_cell=True)
     gen_b.generate_all()
     gen_s.generate_all()
     victims = list(det_b.dirty_tuples_ordered())[:8]
