@@ -35,6 +35,13 @@ def _trajectory(result):
 
 
 class TestLearnerConfig:
+    def test_default_is_hist(self):
+        """A default-config engine grows histogram committees."""
+        __, __, engine = _run(GDRConfig, n=120, budget=30)
+        fitted = [m for m in engine.learner._models.values() if m is not None]
+        assert fitted
+        assert all(type(m) is HistogramForestClassifier for m in fitted)
+
     def test_invalid_learner_rejected(self):
         """The exact-sort committees are test-side only; the knob is gone."""
         with pytest.raises(TypeError, match="learner"):

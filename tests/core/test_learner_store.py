@@ -99,6 +99,12 @@ class TestLearnerKinds:
         with pytest.raises(TypeError, match="kind"):
             FeedbackLearner(schema, kind="exact")
 
+    def test_default_kind_is_hist(self, schema):
+        """A learner built with every default grows histogram committees."""
+        learner = FeedbackLearner(schema)
+        teach(learner)
+        assert type(learner._models["city"]) is HistogramForestClassifier
+
     def test_hist_model_class(self, schema):
         learner = FeedbackLearner(schema, min_examples=5, seed=0)
         teach(learner)
