@@ -10,7 +10,10 @@ the recorded numbers.
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
+import pytest
 
 from repro.constraints import ViolationDetector, mine_constant_cfds
 from repro.ml import RandomForestClassifier
@@ -144,17 +147,45 @@ def test_levenshtein_speed(benchmark):
     assert total > 0
 
 
-def test_levenshtein_many_kernel(benchmark):
-    """Batched DP kernel: one query against a 100-candidate pool."""
+def _hospital_setup_pairs():
+    """About 800 short queries x 6 candidates, shaped like the Eq. 7
+    pairs a hospital engine scores while generating its first
+    suggestions (queries ~6.5 characters)."""
+    rng = random.Random(0)
+    words = ["Michigan City", "Westville", "Gary", "Fort Wayne", "46360", "46391",
+             "IN", "Hammond", "Sherden RD", "BIRMINGHAM", "AL", "3347938701"]
+    queries, candidates = [], []
+    for __ in range(800):
+        word = rng.choice(words)
+        i = rng.randrange(len(word))
+        query = (word[:i] + "x" + word[i + 1 :])[:7]
+        for __ in range(6):
+            queries.append(query)
+            candidates.append(rng.choice(words))
+    return queries, candidates
+
+
+def _one_query_pairs():
+    """One query against a 100-candidate pool."""
     candidates = [f"Michigan City {i}" for i in range(50)] + [
         f"Fort Wayne {i}" for i in range(50)
     ]
+    return ["Michigan Cty"] * len(candidates), candidates
+
+
+@pytest.mark.parametrize("shape", ["hospital_setup", "one_query"])
+def test_levenshtein_many_kernel(benchmark, shape):
+    """The batched pairs kernel on two shapes: many short queries with
+    short pools (engine set-up) and one query against a large pool."""
+    queries, candidates = (
+        _hospital_setup_pairs() if shape == "hospital_setup" else _one_query_pairs()
+    )
 
     def run():
-        return int(levenshtein_many("Michigan Cty", candidates).sum())
+        return levenshtein_many(queries, candidates)
 
-    total = benchmark(run)
-    assert total > 0
+    dists = benchmark(run)
+    assert dists.tolist() == [levenshtein(q, c) for q, c in zip(queries, candidates)]
 
 
 def test_similarity_cache(benchmark):

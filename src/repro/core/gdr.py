@@ -577,7 +577,9 @@ class GDREngine:
 
         The benches read this instead of plumbing individual counters;
         keys mirror the component names (``sim`` →
-        ``SimilarityCache.stats``, ``cache`` →
+        ``SimilarityCache.stats``: hits, misses, evictions, entries, and
+        ``kernel_batches``/``kernel_pairs``, the Eq. 7 kernel calls and
+        the pairs they scored; ``cache`` →
         ``GroupBenefitCache.stats``, ``voi`` → the probe-key table's
         ``DeltaKeyCache.stats``, ``generator`` →
         ``UpdateGenerator.stats`` (the witness, scenario-2 and decision

@@ -26,10 +26,12 @@ generation through the **batched** path
 (:meth:`UpdateGenerator.generate_for_cells`): cells are bucketed by
 ``(violated-rule bitmask, attribute)``, each bucket's signatures are
 gathered in one code-matrix slice, and each distinct signature is
-decided once through the **decision memo**, with candidate pools scored
-through the batched Eq. 7 kernel
-(:meth:`~repro.repair.similarity.SimilarityCache.scores`). A decision
-equal to a cell's live suggestion leaves the pool untouched.
+decided once through the **decision memo**. The memo's misses are
+queued, and a full queue is scored with one batched Eq. 7 call
+(:meth:`~repro.repair.similarity.SimilarityCache.scores`, one
+:func:`~repro.repair.similarity.levenshtein_many` pairs-kernel call for
+every uncached pair of the queue). A decision equal to a cell's live
+suggestion leaves the pool untouched.
 
 The memo survives writes. A signature pins every pool input except the
 contents of the groups its pools read — a scenario-2 partition (rows
@@ -63,6 +65,7 @@ from repro.db.changelog import CellChange
 from repro.db.database import Database
 from repro.repair.candidate import CandidateUpdate
 from repro.repair.similarity import (
+    KERNEL_BUDGET,
     SimilarityCache,
     SimilarityFunction,
     best_candidate,
@@ -79,6 +82,10 @@ _RHS_MEMO_CAPACITY = 4096
 #: Decision memo bound in entries across all layouts (cleared wholesale
 #: when full).
 _DECISION_MEMO_CAPACITY = 8192
+
+#: Candidate pairs the decide phase queues before scoring them in one
+#: batch (the similarity kernel's chunk size).
+_QUEUE_PAIRS = KERNEL_BUDGET
 
 #: Witness-group value-pool memo bound; within one database version the
 #: memo holds one entry per distinct witness signature, which is
@@ -109,6 +116,38 @@ def _pack(codes) -> int:
 def _unpack(key: int, width: int) -> tuple[int, ...]:
     mask = (1 << _CODE_BITS) - 1
     return tuple((key >> (_CODE_BITS * i)) & mask for i in range(width))
+
+
+def _admissible(current, pools, prevented) -> list:
+    """The pooled candidates that are neither the current value, a
+    prevented value nor ``None``, in pool order."""
+    return [
+        value
+        for value in chain.from_iterable(pools)
+        if not (value == current or value in prevented or value is None)
+    ]
+
+
+def _pick(admissible: list, scores: list[float]) -> tuple[object | None, float]:
+    """:func:`~repro.repair.similarity.best_candidate`'s selection over
+    scored admissible candidates: the higher score, then the
+    lexicographically smaller string form, in candidate order."""
+    best_value: object | None = None
+    best_score = -1.0
+    best_str: str | None = None
+    for value, score in zip(admissible, scores):
+        if best_value is None or score > best_score:
+            best_value = value
+            best_score = score
+            best_str = None
+        elif score == best_score:
+            if best_str is None:
+                best_str = str(best_value)
+            value_str = str(value)
+            if value_str < best_str:
+                best_value = value
+                best_str = value_str
+    return best_value, best_score
 
 
 class _Group:
@@ -203,6 +242,41 @@ class _Layout:
         self.decisions.clear()
         self.prevented.clear()
         self.filters = [0] * len(self.groups)
+
+
+class _Miss:
+    """A queued decision-memo miss: its signature, current value and
+    admissible candidates, the cells waiting on it and, once its batch
+    is scored, its outcome."""
+
+    __slots__ = ("layout", "key", "current", "admissible", "cells", "outcome")
+
+    def __init__(self, layout: _Layout, key: int, current, admissible: list) -> None:
+        self.layout = layout
+        self.key = key
+        self.current = current
+        self.admissible = admissible
+        self.cells: list[int] = []
+        self.outcome: tuple[object | None, float] | None = None
+
+
+class _Pass:
+    """One :meth:`UpdateGenerator.generate_for_cells` call: its cells,
+    the per-cell outputs of the decide phase and the queue of memo
+    misses waiting to be scored."""
+
+    __slots__ = ("cells", "results", "touched", "pending", "queue", "queued", "pairs")
+
+    def __init__(self, cells) -> None:
+        self.cells = cells
+        self.results: list[CandidateUpdate | None] = [None] * len(cells)
+        # per cell, 1 once it is known to carry a live suggestion before
+        # or after the call; and the decisions left for the apply phase
+        self.touched = bytearray(len(cells))
+        self.pending: list[tuple[object | None, float] | None] = [None] * len(cells)
+        self.queue: list[_Miss] = []
+        self.queued: dict[tuple[_Layout, int], _Miss] = {}
+        self.pairs = 0
 
 
 class UpdateGenerator:
@@ -347,10 +421,14 @@ class UpdateGenerator:
            :class:`_Layout`), gathered for the whole bucket in one
            code-matrix slice; each distinct code row is decided once
            through the decision memo, which survives between calls and
-           across writes (see :meth:`_on_write`). A decision equal to
-           the cell's live suggestion (or no decision for a cell without
-           one) settles the cell on the spot: the live object is kept
-           and no state event fires;
+           across writes (see :meth:`_on_write`). The memo's misses are
+           queued and scored in batches of about :data:`_QUEUE_PAIRS`
+           candidate pairs, one Eq. 7 kernel call per batch (see
+           :meth:`_flush`). A memo hit equal to the cell's live
+           suggestion (or no decision for a cell without one) settles
+           the cell on the spot: the live object is kept and no state
+           event fires. A queued miss hands its cells to the apply
+           phase, which keeps an equal live suggestion the same way;
         3. **apply** (cell order): only the cells whose decision differs
            from their live suggestion replace or remove it, emitting
            their state events in cell order.
@@ -362,20 +440,17 @@ class UpdateGenerator:
         cell order.
         """
         self._check_memo_stamp()
-        results: list[CandidateUpdate | None] = [None] * len(cells)
-        # per cell, 1 once it is known to carry a live suggestion before
-        # or after the call; and the decisions left for the apply phase
-        touched = bytearray(len(cells))
-        pending: list[tuple[object | None, float] | None] = [None] * len(cells)
-        buckets = self._classify(cells, pending)
+        run = _Pass(cells)
+        buckets = self._classify(cells, run.pending)
         for mask, per_attr in buckets.items():
             for attribute, (indexes, rows) in per_attr.items():
                 layout = self._mask_layout(attribute, mask)
-                self._decide_bucket(cells, layout, indexes, rows, results, touched, pending)
-        self._apply(cells, pending, results, touched)
+                self._decide_bucket(run, layout, indexes, rows)
+        self._flush(run)
+        self._apply(run)
         if revisited is not None:
-            revisited.extend(compress(cells, touched))
-        return results
+            revisited.extend(compress(cells, run.touched))
+        return run.results
 
     def _classify(self, cells, pending):
         """Phase 1: decide the unshareable cells into *pending*; returns
@@ -419,24 +494,25 @@ class UpdateGenerator:
             bucket[1].append(row)
         return buckets
 
-    def _decide_bucket(
-        self, cells, layout: _Layout, indexes, rows, results, touched, pending
-    ) -> None:
-        """Phase 2: one Algorithm 1 decision per distinct signature row;
-        a cell whose live suggestion equals its decision (or that has
-        neither) is settled here, any other goes to *pending*.
+    def _decide_bucket(self, run: _Pass, layout: _Layout, indexes, rows) -> None:
+        """Phase 2: one Algorithm 1 decision per distinct signature row.
 
-        The bucket's signature codes arrive as one column per signature
-        position; ``zip`` turns them into one code row per cell. Hit/miss
-        counters stay per cell: a row's first cell is a miss unless the
-        memo already holds the row, every other cell a hit.
+        A cell whose row the memo holds is settled here: one whose live
+        suggestion equals the decision (or that has neither) keeps it,
+        any other goes to the apply phase. A memo miss is queued with its
+        candidates (see :meth:`_queue_miss`) and hands its cells to the
+        apply phase once its batch is scored. The bucket's signature
+        codes arrive as one column per signature position; ``zip`` turns
+        them into one code row per cell. Hit/miss counters stay per
+        cell: a row's first cell is a miss unless the memo or the queue
+        already holds the row, every other cell a hit.
         """
         block = self.db.columns.gather(layout.positions, rows)
         decisions = layout.decisions
-        attribute = layout.attribute
         live_of = self.state.cell_views()[2]
+        cells, results, touched, pending = run.cells, run.results, run.touched, run.pending
         # this bucket's rows: repeats skip packing the memo key
-        decided: dict[tuple, tuple[object | None, float]] = {}
+        decided: dict[tuple, tuple[object | None, float] | _Miss] = {}
         misses = 0
         for index, codes in zip(indexes, zip(*block.tolist())):
             decision = decided.get(codes)
@@ -444,13 +520,16 @@ class UpdateGenerator:
                 key = _pack(codes)
                 decision = decisions.get(key)
                 if decision is None:
-                    current = self.db.value(cells[index][0], attribute)
-                    decision = self._select_best(
-                        attribute, current, self._pools(layout, codes, current), ()
-                    )
-                    misses += 1
-                    self._remember(layout, key, decision)
+                    decision = run.queued.get((layout, key))
+                    if decision is None:
+                        decision = self._queue_miss(run, layout, key, codes, cells[index][0])
+                        misses += 1
                 decided[codes] = decision
+            if type(decision) is _Miss:
+                if decision.outcome is None:
+                    decision.cells.append(index)
+                    continue
+                decision = decided[codes] = decision.outcome
             live = live_of.get(cells[index])
             if live is None:
                 if decision[0] is not None:
@@ -462,6 +541,45 @@ class UpdateGenerator:
                 pending[index] = decision
         self._memo_misses["decision"] += misses
         self._memo_hits["decision"] += len(indexes) - misses
+
+    def _queue_miss(self, run: _Pass, layout: _Layout, key: int, codes: tuple, tid: int) -> _Miss:
+        """Queue one memo miss with its admissible candidates; the queue
+        is scored once it holds :data:`_QUEUE_PAIRS` candidate pairs."""
+        self._reserve(run)
+        current = self.db.value(tid, layout.attribute)
+        admissible = _admissible(current, self._pools(layout, codes, current), ())
+        miss = _Miss(layout, key, current, admissible)
+        run.queue.append(miss)
+        run.queued[(layout, key)] = miss
+        run.pairs += len(admissible)
+        if run.pairs >= _QUEUE_PAIRS:
+            self._flush(run)
+        return miss
+
+    def _flush(self, run: _Pass) -> None:
+        """Score the queued misses in one batch, then per miss in queue
+        order select its outcome, remember it and hand its cells to the
+        apply phase (which keeps a live suggestion equal to it)."""
+        if not run.queue:
+            return
+        pending = run.pending
+        # a miss without admissible candidates is never scored, as in
+        # a one-cell selection
+        requests = [
+            (miss.layout.pos, miss.current, miss.admissible)
+            for miss in run.queue
+            if miss.admissible
+        ]
+        batch = iter(self._score_batch(requests))
+        for miss in run.queue:
+            decision = _pick(miss.admissible, next(batch)) if miss.admissible else _NO_DECISION
+            miss.outcome = decision
+            self._remember(miss.layout, miss.key, decision)
+            for index in miss.cells:
+                pending[index] = decision
+        run.queue = []
+        run.queued = {}
+        run.pairs = 0
 
     def _decide_prevented(self, layout: _Layout, codes: tuple, tid: int, prevented):
         """Algorithm 1 for a cell with prevented values, memoised per
@@ -478,23 +596,34 @@ class UpdateGenerator:
             layout.attribute, current, self._pools(layout, codes, current), values
         )
         self._memo_misses["decision"] += 1
+        self._reserve()
         self._remember(layout, key, decision, values)
         return decision
 
-    def _remember(self, layout: _Layout, key: int, decision, prevented=None) -> None:
-        if self._decision_entries >= _DECISION_MEMO_CAPACITY:
+    def _reserve(self, run: _Pass | None = None) -> None:
+        """Make room for one more memo entry: where the queued misses
+        would fill the memo, remember them and clear it (a capacity
+        clear happens between the same lookups as when every miss is
+        remembered as it is met)."""
+        queued = len(run.queue) if run is not None else 0
+        if self._decision_entries + queued >= _DECISION_MEMO_CAPACITY:
+            if queued:
+                self._flush(run)
             self._clear_decisions()
             self._memo_clears["decision"] += 1
+
+    def _remember(self, layout: _Layout, key: int, decision, prevented=None) -> None:
         layout.insert(key, decision, prevented)
         self._decision_entries += 1
 
-    def _apply(self, cells, pending, results, touched) -> None:
+    def _apply(self, run: _Pass) -> None:
         """Phase 3: settle the pending cells in cell order — keep an
         equal live suggestion, replace or remove any other. The live
         suggestion is read here, so a cell listed twice settles like two
         consecutive per-cell calls."""
         state = self.state
         live_of = state.cell_views()[2]
+        cells, pending, results, touched = run.cells, run.pending, run.results, run.touched
         # decisions are non-empty tuples: compress yields the pending
         # indexes in cell order
         for index in compress(range(len(cells)), pending):
@@ -891,46 +1020,26 @@ class UpdateGenerator:
     def _select_best(
         self, attribute: str, current, pools, prevented
     ) -> tuple[object | None, float]:
-        """Batch-scored :func:`~repro.repair.similarity.best_candidate`.
-
-        Admissibility (skip the current value, prevented values and
-        ``None``) is applied first; the surviving candidates are scored
-        in one batched pass and the selection loop then reproduces the
-        reference tie-breaks (higher score, then lexicographically
-        smaller string form) over the same candidate order.
-        """
-        admissible = [
-            value
-            for value in chain.from_iterable(pools)
-            if not (value == current or value in prevented or value is None)
-        ]
+        """Batch-scored :func:`~repro.repair.similarity.best_candidate`
+        for one cell: the admissible candidates scored as a batch of one
+        request (see :func:`_pick`)."""
+        admissible = _admissible(current, pools, prevented)
         if not admissible:
             return _NO_DECISION
-        scores = self._scores(attribute, current, admissible)
-        best_value: object | None = None
-        best_score = -1.0
-        best_str: str | None = None
-        for value, score in zip(admissible, scores):
-            if best_value is None or score > best_score:
-                best_value = value
-                best_score = score
-                best_str = None
-            elif score == best_score:
-                if best_str is None:
-                    best_str = str(best_value)
-                value_str = str(value)
-                if value_str < best_str:
-                    best_value = value
-                    best_str = value_str
-        return best_value, best_score
+        pos = self.db.schema.position(attribute)
+        return _pick(admissible, self._score_batch([(pos, current, admissible)])[0])
 
-    def _scores(self, attribute: str, current, values) -> list[float]:
-        """Eq. 7 scores for a candidate list (kernel-batched when possible)."""
+    def _score_batch(self, requests) -> list[list[float]]:
+        """Eq. 7 scores of ``(column position, current value,
+        candidates)`` requests: one batched
+        :meth:`~repro.repair.similarity.SimilarityCache.scores` call
+        when the similarity function offers it, one call per pair
+        otherwise."""
         scores = getattr(self.sim, "scores", None)
         if scores is not None:
-            return scores(self.db.schema.position(attribute), current, values)
+            return scores(requests)
         sim = self.sim
-        return [sim(current, value) for value in values]
+        return [[sim(current, value) for value in values] for __, current, values in requests]
 
     @property
     def stats(self) -> dict[str, int]:

@@ -12,10 +12,11 @@ Two evaluation paths are provided:
 
 * the scalar :func:`levenshtein` / :func:`similarity` pair — the
   reference arithmetic, pure functions with no hidden state;
-* the batched :func:`levenshtein_many` kernel — candidate strings are
-  padded into a uint32 codepoint matrix and the DP row advances across
-  the whole batch per query character, so scoring a candidate pool is
-  a handful of NumPy passes instead of one Python DP per candidate.
+* the batched :func:`levenshtein_many` pairs kernel — ``queries[i]``
+  against ``candidates[i]``, the strings padded into uint32 codepoint
+  matrices and the DP row advanced across every pair per query
+  position, so scoring many candidate pools is a handful of NumPy
+  passes instead of one Python DP per candidate.
 
 :class:`SimilarityCache` wraps both behind an **engine-owned** memo:
 one instance per :class:`~repro.core.gdr.GDREngine`, keyed in *code
@@ -46,6 +47,9 @@ __all__ = [
 
 #: Signature of a pluggable similarity function.
 SimilarityFunction = Callable[[object, object], float]
+
+#: The pending pairs of a code bucket no earlier request of a batch missed.
+_NONE_PENDING: dict[int, int] = {}
 
 
 def levenshtein(a: str, b: str) -> int:
@@ -84,46 +88,87 @@ def _codepoints(s: str) -> np.ndarray:
         return np.fromiter(map(ord, s), dtype=np.uint32, count=len(s))
 
 
-def levenshtein_many(query: str, candidates: Sequence[str]) -> np.ndarray:
-    """Edit distances from *query* to every candidate, batched.
+#: Pairs per kernel chunk; :class:`~repro.repair.generator.UpdateGenerator`
+#: queues Algorithm 1 decisions up to the same number of pairs.
+KERNEL_BUDGET = 256
 
-    The candidates are padded into one ``(batch, width)`` uint32
-    codepoint matrix and the standard DP advances one *query* character
-    at a time across the whole batch: the substitution/deletion step is
-    two elementwise minima, and the insertion closure
-    ``D[j] = min_k<=j (E[k] + j - k)`` is one ``np.minimum.accumulate``
-    over ``E[j] - j``. Padding cells can never influence a candidate's
-    result because column ``j`` only depends on columns ``<= j`` and
-    each distance is read at the candidate's own length.
 
-    Agrees exactly with :func:`levenshtein` (both compute the same DP
-    over the same codepoints); the scalar function remains the parity
-    reference.
-    """
-    n = len(candidates)
-    lens = np.fromiter((len(c) for c in candidates), dtype=np.int64, count=n)
-    if n == 0:
-        return lens
-    if not query:
-        return lens
+def _codepoint_matrix(strings: list[str], lens: np.ndarray) -> np.ndarray:
+    """Zero-padded ``(len(strings), max length)`` codepoint matrix, from
+    one encode of the joined strings."""
     width = int(lens.max())
-    if width == 0:
-        return np.full(n, len(query), dtype=np.int64)
-    chars = np.zeros((n, width), dtype=np.uint32)
-    for i, cand in enumerate(candidates):
-        if cand:
-            chars[i, : len(cand)] = _codepoints(cand)
-    offsets = np.arange(width + 1, dtype=np.int64)
-    prev = np.broadcast_to(offsets, (n, width + 1)).copy()
-    cur = np.empty((n, width + 1), dtype=np.int64)
-    for i, qc in enumerate(_codepoints(query), start=1):
-        cur[:, 0] = i
-        np.minimum(prev[:, 1:] + 1, prev[:, :-1] + (chars != qc), out=cur[:, 1:])
-        np.subtract(cur, offsets, out=cur)
-        np.minimum.accumulate(cur, axis=1, out=cur)
-        np.add(cur, offsets, out=cur)
-        prev, cur = cur, prev
-    return prev[np.arange(n), lens]
+    out = np.zeros((len(strings), width), dtype=np.uint32)
+    if width:
+        out[np.arange(width) < lens[:, None]] = _codepoints("".join(strings))
+    return out
+
+
+def levenshtein_many(queries: Sequence[str], candidates: Sequence[str]) -> np.ndarray:
+    """Edit distance of every pair ``(queries[i], candidates[i])``, batched.
+
+    The pairs are cut into chunks of :data:`KERNEL_BUDGET`. In a chunk
+    the rows are sorted by query length (longest first), candidates are
+    padded into one ``(rows, width)`` uint32 codepoint matrix and the
+    standard DP advances one query position at a time across every row
+    whose query is that long; shorter rows have finished and drop out.
+    The DP row is kept as ``E[j] = D[j] - j`` (int32), so a step is the
+    substitution/deletion minimum followed by one
+    ``np.minimum.accumulate`` — the insertion closure ``D[j] = min_k<=j
+    (X[k] + j - k)``. Padding cells never influence a result: column
+    ``j`` depends only on columns ``<= j`` and each distance is read at
+    its candidate's own length.
+
+    Agrees exactly with :func:`levenshtein` (the same DP over the same
+    codepoints); the scalar function remains the parity reference.
+    """
+    n = len(queries)
+    if len(candidates) != n:
+        raise ValueError(f"{n} queries but {len(candidates)} candidates")
+    out = np.empty(n, dtype=np.int64)
+    for lo in range(0, n, KERNEL_BUDGET):
+        hi = min(n, lo + KERNEL_BUDGET)
+        out[lo:hi] = _levenshtein_chunk(list(queries[lo:hi]), list(candidates[lo:hi]))
+    return out
+
+
+def _levenshtein_chunk(queries: list[str], candidates: list[str]) -> np.ndarray:
+    n = len(queries)
+    qlen_list = [len(q) for q in queries]
+    ranked = sorted(range(n), key=qlen_list.__getitem__, reverse=True)
+    qlen_sorted = [qlen_list[i] for i in ranked]
+    qlens = np.array(qlen_sorted, dtype=np.int64)
+    cands = [candidates[i] for i in ranked]
+    clens = np.fromiter(map(len, cands), dtype=np.int64, count=n)
+    dist = clens.copy()  # the rows with an empty query
+    longest = qlen_sorted[0]
+    if longest:
+        query_chars = _codepoint_matrix([queries[i] for i in ranked], qlens)
+        chars = _codepoint_matrix(cands, clens)
+        width = chars.shape[1]
+        # active[i]: rows whose query has at least i characters
+        active = [0] * (longest + 2)
+        for length in qlen_sorted:
+            active[length] += 1
+        for i in range(longest - 1, -1, -1):
+            active[i] += active[i + 1]
+        prev = np.zeros((n, width + 1), dtype=np.int32)
+        cur = np.empty_like(prev)
+        equal = np.empty((n, width), dtype=bool)
+        for i in range(1, longest + 1):
+            k = active[i]
+            e, c, eq = prev[:k], cur[:k], equal[:k]
+            np.equal(chars[:k], query_chars[:k, i - 1 : i], out=eq)
+            c[:, 0] = i
+            np.add(e[:, 1:], 1, out=c[:, 1:])
+            np.minimum(c[:, 1:], e[:, :-1] - eq, out=c[:, 1:])
+            np.minimum.accumulate(c, axis=1, out=c)
+            done = active[i + 1]
+            if done < k:  # rows whose query ends here
+                dist[done:k] = c[np.arange(done, k), clens[done:k]] + clens[done:k]
+            prev, cur = cur, prev
+    out = np.empty(n, dtype=np.int64)
+    out[ranked] = dist
+    return out
 
 
 def _eq7(a: str, b: str, dist: int) -> float:
@@ -162,7 +207,7 @@ def similarity_many(original: object, candidates: Sequence[object]) -> list[floa
     """
     a = str(original)
     strs = [str(c) for c in candidates]
-    dists = levenshtein_many(a, strs)
+    dists = levenshtein_many([a] * len(strs), strs)
     # the equality shortcut must fire before stringification, exactly
     # like the scalar path (1 == True but "1" != "True")
     return [
@@ -208,23 +253,36 @@ class SimilarityCache:  # repolint: disable=cache-discipline
         self._pair_entries = 0
         # (str(current), str(candidate)) -> sim, for out-of-vocabulary values
         self._strs: dict[tuple[str, str], float] = {}
+        # during a :meth:`scores` batch: (column position, current code)
+        # -> {candidate code -> kernel slot} for the pairs missed so far
+        self._pending: dict[tuple[int, int], dict[int, int]] = {}
+        self._pending_entries = 0
         self.hits = 0
         self.misses = 0
         self.evictions = 0
+        self.kernel_batches = 0
+        self.kernel_pairs = 0
 
     @property
     def stats(self) -> dict[str, int]:
-        """Cache-health counters (surfaced in the benchmark reports)."""
+        """Cache-health counters (surfaced in the benchmark reports).
+
+        ``kernel_batches`` counts :func:`levenshtein_many` calls (one
+        per :meth:`scores` batch that missed) and ``kernel_pairs`` the
+        pairs they scored.
+        """
         return {
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,
             "pair_entries": self._pair_entries,
             "str_entries": len(self._strs),
+            "kernel_batches": self.kernel_batches,
+            "kernel_pairs": self.kernel_pairs,
         }
 
     def __len__(self) -> int:
-        return self._pair_entries + len(self._strs)
+        return self._pair_entries + len(self._strs) + self._pending_entries
 
     # ------------------------------------------------------------------
     def __call__(self, original: object, suggested: object) -> float:
@@ -243,67 +301,110 @@ class SimilarityCache:  # repolint: disable=cache-discipline
         self._strs[key] = value
         return value
 
-    def scores(self, pos: int, current: object, candidates: Sequence[object]) -> list[float]:
-        """Eq. 7 scores of *current* against a candidate pool, batched.
+    def scores(self, requests: Sequence[tuple[int, object, Sequence[object]]]) -> list[list[float]]:
+        """Eq. 7 scores of a batch of ``(column position, current value,
+        candidates)`` requests, with one :func:`levenshtein_many` call.
 
-        In-vocabulary candidates resolve through the code-space memo;
-        all misses are evaluated in one :func:`levenshtein_many` kernel
-        call. Value-for-value equal to calling the cache scalarly per
-        candidate.
+        Each candidate's code and cached score are resolved once, in
+        request order, against the memo and against the pairs earlier
+        requests of the batch missed: such a *pending* pair counts as a
+        hit, as it would once inserted. A request's misses are counted
+        at its turn, the purge it would trigger fires at its turn (the
+        size counts pending pairs), and its misses become pending. At
+        the end every missed pair is scored in one kernel call and the
+        pending pairs a purge did not drop are inserted. So results,
+        counters and the memo's contents and order are exactly those of
+        scoring the requests one after another.
         """
         columns = self._columns
-        if columns is None:
-            return [self(current, value) for value in candidates]
-        code_of = columns.vocabulary(pos).code_of
-        cur_code = code_of(current)
-        if cur_code < 0:
-            return [self(current, value) for value in candidates]
-        inner = self._pairs.get((pos, cur_code))
-        if inner is None:
-            inner = self._pairs[(pos, cur_code)] = {}
-        out: list[float] = [0.0] * len(candidates)
-        miss_slots: list[tuple[int, int]] = []
-        miss_values: list[object] = []
-        for i, value in enumerate(candidates):
-            code = code_of(value)
-            if code < 0:
-                out[i] = self(current, value)
+        outs: list[list[float]] = []
+        # per kernel slot (current, candidate, str(current), str(candidate));
+        # and every output cell a slot fills
+        slots: list[tuple[object, object, str, str]] = []
+        fills: list[tuple[list[float], int, int]] = []
+        for pos, current, candidates in requests:
+            out: list[float] = [0.0] * len(candidates)
+            outs.append(out)
+            code_of = columns.vocabulary(pos).code_of if columns is not None else None
+            cur_code = code_of(current) if code_of is not None else -1
+            if cur_code < 0:
+                out[:] = [self(current, value) for value in candidates]
                 continue
-            if code == cur_code:
-                self.hits += 1
-                out[i] = 1.0
-                continue
-            hit = inner.get(code)
-            if hit is not None:
-                self.hits += 1
-                out[i] = hit
-            else:
-                miss_slots.append((i, code))
-                miss_values.append(value)
-        if miss_values:
-            self.misses += len(miss_values)
-            fresh = similarity_many(current, miss_values)
-            if len(self) + len(miss_values) > self._capacity:
-                self._purge()
-            # re-fetch: a purge (here or via a string-fallback call made
-            # during the scan) may have dropped the bucket
-            inner = self._pairs.get((pos, cur_code))
+            key = (pos, cur_code)
+            inner = self._pairs.get(key)
             if inner is None:
-                inner = self._pairs[(pos, cur_code)] = {}
-            before = len(inner)
-            for (i, code), value in zip(miss_slots, fresh):
-                inner[code] = value
-                out[i] = value
-            # duplicate candidates in one pool miss twice but store once
-            self._pair_entries += len(inner) - before
-        return out
+                inner = self._pairs[key] = {}
+            queued = self._pending.get(key, _NONE_PENDING)
+            misses: list[tuple[int, int, object]] = []
+            for i, value in enumerate(candidates):
+                code = code_of(value)
+                if code < 0:
+                    out[i] = self(current, value)
+                    continue
+                if code == cur_code:
+                    self.hits += 1
+                    out[i] = 1.0
+                    continue
+                hit = inner.get(code)
+                if hit is not None:
+                    self.hits += 1
+                    out[i] = hit
+                    continue
+                slot = queued.get(code)
+                if slot is not None:
+                    self.hits += 1
+                    fills.append((out, i, slot))
+                else:
+                    misses.append((i, code, value))
+            if misses:
+                self.misses += len(misses)
+                if len(self) + len(misses) > self._capacity:
+                    self._purge()
+                if key not in self._pairs:
+                    self._pairs[key] = {}
+                bucket = self._pending.get(key)
+                if bucket is None:
+                    bucket = self._pending[key] = {}
+                before = len(bucket)
+                text = str(current)
+                # a duplicate candidate misses twice and the memo keeps
+                # its last score, as a one-request batch would
+                for i, code, value in misses:
+                    bucket[code] = len(slots)
+                    fills.append((out, i, len(slots)))
+                    slots.append((current, value, text, str(value)))
+                self._pending_entries += len(bucket) - before
+        if slots:
+            self.kernel_batches += 1
+            self.kernel_pairs += len(slots)
+            dists = levenshtein_many([s[2] for s in slots], [s[3] for s in slots]).tolist()
+            # the equality shortcut fires before stringification, as in
+            # the scalar path (1 == True but "1" != "True")
+            sims = [
+                1.0 if current == value else _eq7(a, b, d)
+                for (current, value, a, b), d in zip(slots, dists)
+            ]
+            for out, i, slot in fills:
+                out[i] = sims[slot]
+            for key, bucket in self._pending.items():
+                inner = self._pairs[key]
+                before = len(inner)
+                for code, slot in bucket.items():
+                    inner[code] = sims[slot]
+                self._pair_entries += len(inner) - before
+            self._pending = {}
+            self._pending_entries = 0
+        return outs
 
     def _purge(self) -> None:
-        """Drop the whole memo (counted as evictions)."""
+        """Drop the whole memo, pending pairs included (counted as
+        evictions); a batch still scores the dropped pending pairs."""
         self.evictions += len(self)
         self._pairs.clear()
         self._strs.clear()
         self._pair_entries = 0
+        self._pending = {}
+        self._pending_entries = 0
 
     def clear(self) -> None:
         """Drop every memoised entry (counters are kept)."""

@@ -15,14 +15,15 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.constraints import RuleSet, ViolationDetector, parse_rules
 from repro.core import GDRConfig, GDREngine, GroundTruthOracle, LearnerPrediction
 from repro.core.session import decide_batched
 from repro.datasets import load_dataset
 from repro.db import Database, Schema
 from repro.errors import ConfigError
-from repro.repair import Feedback
+from repro.repair import ConsistencyManager, Feedback, RepairState, UpdateGenerator
 from repro.repair.candidate import CandidateUpdate
-from tests.oracles.drain import use_sequential_drain
+from tests.oracles.drain import decide_sequential, use_sequential_drain
 from tests.oracles.pipeline import use_rebuild_pipeline
 
 
@@ -226,6 +227,79 @@ class TestDecideBatched:
             lambda: None,
         )
         assert len(db._listeners) == before
+
+
+class _CityGatedLearner:
+    """Learner double over real rows: confirms a ``city`` suggestion
+    outright, and a ``state`` suggestion with a confirm fraction of 1
+    only when the row's city already reads 'Michigan City' (else 0)."""
+
+    def __init__(self, schema):
+        self.city = schema.position("city")
+
+    def predict(self, update, row):
+        if update.attribute == "city":
+            fraction = 1.0
+        else:
+            fraction = 1.0 if row[self.city] == "Michigan City" else 0.0
+        feedback = Feedback.CONFIRM if fraction >= 0.5 else Feedback.REJECT
+        return LearnerPrediction(feedback=feedback, confirm_probability=fraction, uncertainty=0.0)
+
+    def predict_many(self, updates, rows):
+        return [self.predict(update, row) for update, row in zip(updates, rows)]
+
+
+class TestWaveHazardOnRealSubstrate:
+    """Two live suggestions on one tuple in one batch, where the first
+    is a learner CONFIRM that rewrites the column the second's
+    prediction reads: the batch must re-predict the second on the
+    written row, as deciding one at a time does."""
+
+    RULES = """
+        (zip -> city, {46360 || 'Michigan City'})
+        (zip -> state, {46360 || 'IN'})
+    """
+
+    def _substrate(self):
+        db = Database(
+            Schema("r", ["zip", "city", "state"]),
+            [["46360", "Westville", "MI"], ["46360", "Michigan City", "IN"]],
+        )
+        rules = RuleSet(parse_rules(self.RULES))
+        detector = ViolationDetector(db, rules)
+        state = RepairState()
+        generator = UpdateGenerator(db, rules, detector, state)
+        manager = ConsistencyManager(db, rules, detector, state, generator)
+        generator.generate_all()
+        updates = sorted(state.updates_for_tuple(0), key=lambda u: u.attribute != "city")
+        return db, state, manager, updates
+
+    def _decide(self, decide):
+        db, state, manager, updates = self._substrate()
+        assert [(u.attribute, u.value) for u in updates] == [
+            ("city", "Michigan City"),
+            ("state", "IN"),
+        ]
+        applied = decide(
+            db,
+            _CityGatedLearner(db.schema),
+            state,
+            manager,
+            updates,
+            lambda update, prediction: prediction.is_decision,
+            lambda: None,
+        )
+        rows = [tuple(row.values) for row in db.rows()]
+        prevented = {cell: state.prevented(cell) for cell in ((0, "city"), (0, "state"))}
+        return applied, rows, [(u.cell, u.value) for u in state.updates()], prevented
+
+    def test_batched_matches_sequential_reference(self):
+        batched = self._decide(decide_batched)
+        sequential = self._decide(decide_sequential)
+        assert batched == sequential
+        # the second suggestion was confirmed on the rewritten row
+        assert batched[0] == 2
+        assert batched[1][0] == ("46360", "Michigan City", "IN")
 
 
 class TestByteIdenticalDrain:

@@ -184,6 +184,8 @@ class TestCrossBatchDecisionMemo:
             "_select_best",
             lambda *a, **k: calls.append(1) or (None, -1.0),
         )
+        # a bucket's memo misses are queued for batched scoring
+        monkeypatch.setattr(gen, "_queue_miss", lambda *a, **k: calls.append(1))
         # substrate unchanged: the second pass must answer every
         # unprevented cell from the carried memo
         before = _pool(state)
@@ -282,3 +284,83 @@ def test_regeneration_after_writes_matches_scalar():
             (u.cell, u.value, u.score) for u in regen_s
         ]
         assert _pool(state_b) == _pool(state_s)
+
+
+def _scored_session(ds, queue_pairs, memo_capacity, sim_capacity):
+    """A generate_all pass, a few writes each followed by a revisit of
+    the written tuple's cells, and a second pass; returns everything the
+    counters, memos and pool hold."""
+    import repro.repair.generator as gen_mod
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gen_mod, "_QUEUE_PAIRS", queue_pairs)
+        patch.setattr(gen_mod, "_DECISION_MEMO_CAPACITY", memo_capacity)
+        db = ds.fresh_dirty()
+        detector = ViolationDetector(db, ds.rules)
+        state = RepairState()
+        cache = SimilarityCache(db.columns, capacity=sim_capacity)
+        gen = UpdateGenerator(db, ds.rules, detector, state, sim=cache)
+        produced = [(u.cell, u.value, u.score) for u in gen.generate_all()]
+        for tid in list(detector.dirty_tuples_ordered())[:6]:
+            updates = state.updates_for_tuple(tid)
+            if updates:
+                db.set_value(updates[0].tid, updates[0].attribute, updates[0].value)
+                cells = [(tid, attr) for attr in db.schema.attributes]
+                gen.generate_for_cells(cells)
+        gen.generate_all()
+        stats = dict(cache.stats)
+        batches = stats.pop("kernel_batches")
+        del stats["kernel_pairs"]
+        snapshot = (
+            produced,
+            _pool(state),
+            gen.stats,
+            stats,
+            gen.decision_entries(),
+            cache.sample_entries(len(cache)),
+        )
+        gen.detach()
+    return snapshot, batches
+
+
+class TestBatchedScoring:
+    """Decision-memo misses are queued and scored in bounded batches.
+    A zero pair budget scores every miss on its own; batching must not
+    move a decision, a counter or a memo entry, also where the decision
+    memo clears or the similarity cache purges mid-queue."""
+
+    @pytest.mark.parametrize(
+        "dataset,memo_capacity,sim_capacity",
+        [
+            ("hospital", 8192, 1 << 20),
+            ("hospital", 7, 1 << 20),
+            ("hospital", 8192, 23),
+            ("adult", 5, 41),
+        ],
+    )
+    def test_batches_match_one_miss_at_a_time(self, dataset, memo_capacity, sim_capacity):
+        ds = load_dataset(dataset, n=150, seed=2)
+        batched, batches = _scored_session(ds, 256, memo_capacity, sim_capacity)
+        single, singles = _scored_session(ds, 0, memo_capacity, sim_capacity)
+        assert batched == single
+        assert batches < singles
+
+    def test_pass_runs_bounded_kernel_batches(self):
+        """A generation pass that looks up P candidate pairs calls the
+        kernel at most ceil(P / budget) + 1 times: the queue is scored
+        once it holds the budget, and once at the end of the pass."""
+        from repro.repair.similarity import KERNEL_BUDGET
+
+        ds = load_dataset("hospital", n=600, seed=0)
+        db = ds.fresh_dirty()
+        detector = ViolationDetector(db, ds.rules)
+        cache = SimilarityCache(db.columns)
+        gen = UpdateGenerator(db, ds.rules, detector, RepairState(), sim=cache)
+        gen.generate_all()
+        stats = cache.stats
+        looked_up = stats["hits"] + stats["misses"]
+        decisions = gen.stats["decision_memo_misses"]
+        assert stats["kernel_pairs"] == stats["misses"]
+        assert 1 <= stats["kernel_batches"] <= -(-looked_up // KERNEL_BUDGET) + 1
+        # far fewer kernel calls than decisions scored
+        assert stats["kernel_batches"] * 10 < decisions

@@ -14,7 +14,7 @@ from repro.repair import (
     similarity_many,
     token_jaccard,
 )
-from repro.repair.similarity import best_candidate
+from repro.repair.similarity import KERNEL_BUDGET, best_candidate
 
 TEXT = st.text(alphabet="abcde ", max_size=12)
 #: Full-unicode strings for the batched-kernel property tests.
@@ -71,39 +71,81 @@ class TestLevenshtein:
         assert levenshtein(a, b) == table[m][n]
 
 
+def _one_query(query, candidates):
+    """The pairs kernel asked for one query against a candidate pool."""
+    return levenshtein_many([query] * len(candidates), candidates).tolist()
+
+
+#: Strings the pairs kernel must handle: ASCII, NUL (equal to the pad
+#: codepoint), astral characters and lone surrogates, empty included.
+KERNEL_TEXT = st.text(
+    alphabet=st.sampled_from(["a", "b", "c", "\x00", "\U0001F600", "\ud800", "\udfff"]),
+    max_size=9,
+)
+
+
 class TestLevenshteinMany:
-    """The batched NumPy kernel against the scalar reference."""
+    """The batched pairs kernel against the scalar reference."""
 
     @given(query=UNITEXT, candidates=st.lists(UNITEXT, max_size=8))
     def test_matches_scalar_reference(self, query, candidates):
-        got = levenshtein_many(query, candidates).tolist()
+        got = _one_query(query, candidates)
         assert got == [levenshtein(query, c) for c in candidates]
 
     @given(query=UNITEXT)
     def test_empty_candidate_list(self, query):
-        assert levenshtein_many(query, []).tolist() == []
+        assert _one_query(query, []) == []
 
     @given(candidates=st.lists(UNITEXT, min_size=1, max_size=8))
     def test_empty_query_gives_lengths(self, candidates):
-        got = levenshtein_many("", candidates).tolist()
+        got = _one_query("", candidates)
         assert got == [len(c) for c in candidates]
 
     @given(query=UNITEXT, n=st.integers(min_value=1, max_value=5))
     def test_equal_strings_give_zero(self, query, n):
-        assert levenshtein_many(query, [query] * n).tolist() == [0] * n
+        assert _one_query(query, [query] * n) == [0] * n
 
     def test_empty_strings_in_batch(self):
-        assert levenshtein_many("abc", ["", "abc", "", "ab"]).tolist() == [3, 0, 3, 1]
+        assert _one_query("abc", ["", "abc", "", "ab"]) == [3, 0, 3, 1]
 
     def test_mixed_lengths_padding_never_leaks(self):
         # a short candidate next to a long one: the DP must read each
         # result at the candidate's own length, never the pad columns
-        assert levenshtein_many("abcdef", ["a", "abcdefgh"]).tolist() == [5, 2]
+        assert _one_query("abcdef", ["a", "abcdefgh"]) == [5, 2]
 
     def test_surrogate_and_astral_codepoints(self):
         cands = ["\U0001F600", "a\U0001F600b", "\ud800"]
-        got = levenshtein_many("a\ud800", cands).tolist()
-        assert got == [levenshtein("a\ud800", c) for c in cands]
+        assert _one_query("a\ud800", cands) == [levenshtein("a\ud800", c) for c in cands]
+
+    @given(
+        pairs=st.one_of(
+            st.lists(st.tuples(KERNEL_TEXT, KERNEL_TEXT), max_size=12),
+            st.lists(
+                st.tuples(KERNEL_TEXT, KERNEL_TEXT),
+                min_size=KERNEL_BUDGET - 2,
+                max_size=KERNEL_BUDGET + 3,
+            ),
+        )
+    )
+    def test_pairs_match_scalar_across_lengths_and_chunks(self, pairs):
+        """Rows of mixed query lengths (finished rows drop out of the
+        DP), empty strings on both sides, non-BMP and lone-surrogate
+        codepoints, and batches on both sides of the chunk budget."""
+        queries = [q for q, __ in pairs]
+        candidates = [c for __, c in pairs]
+        got = levenshtein_many(queries, candidates).tolist()
+        assert got == [levenshtein(q, c) for q, c in pairs]
+
+    def test_chunk_boundary_keeps_pair_order(self):
+        n = 2 * KERNEL_BUDGET + 5
+        queries = ["x" * (i % 7) for i in range(n)]
+        candidates = ["x" * (i % 5) + "y" * (i % 3) for i in range(n)]
+        got = levenshtein_many(queries, candidates).tolist()
+        assert got == [levenshtein(q, c) for q, c in zip(queries, candidates)]
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            levenshtein_many(["a", "b"], ["a"])
 
     @given(original=UNITEXT, candidates=st.lists(UNITEXT, max_size=8))
     def test_similarity_many_matches_scalar(self, original, candidates):
@@ -143,33 +185,33 @@ class TestSimilarityCache:
         cache = SimilarityCache(_store(values))
         candidates = values + ["Fort Wayne"]  # last one out-of-vocabulary
         expected = [similarity("Westville", v) for v in candidates]
-        assert cache.scores(0, "Westville", candidates) == expected
-        assert cache.scores(0, "Westville", candidates) == expected  # memo hits
+        assert cache.scores([(0, "Westville", candidates)]) == [expected]
+        assert cache.scores([(0, "Westville", candidates)]) == [expected]  # memo hits
         assert cache.stats["hits"] > 0
         assert cache.stats["pair_entries"] > 0
         assert cache.stats["str_entries"] == 1
 
     def test_scores_without_columns_falls_back(self):
         cache = SimilarityCache()
-        got = cache.scores(0, "abc", ["abd", "xyz"])
-        assert got == [similarity("abc", "abd"), similarity("abc", "xyz")]
+        got = cache.scores([(0, "abc", ["abd", "xyz"])])
+        assert got == [[similarity("abc", "abd"), similarity("abc", "xyz")]]
 
     def test_scores_out_of_vocabulary_current(self):
         cache = SimilarityCache(_store(["x", "y"]))
-        got = cache.scores(0, "never-stored", ["x", "y"])
-        assert got == [similarity("never-stored", v) for v in ["x", "y"]]
+        got = cache.scores([(0, "never-stored", ["x", "y"])])
+        assert got == [[similarity("never-stored", v) for v in ["x", "y"]]]
 
     def test_capacity_purges_and_counts_evictions(self):
         cache = SimilarityCache(_store(["aa", "ab", "ac", "ad"]), capacity=2)
         for current in ["aa", "ab", "ac"]:
-            got = cache.scores(0, current, ["aa", "ab", "ac", "ad"])
+            (got,) = cache.scores([(0, current, ["aa", "ab", "ac", "ad"])])
             assert got == [similarity(current, v) for v in ["aa", "ab", "ac", "ad"]]
         assert cache.stats["evictions"] > 0
         assert len(cache) <= 4  # one batch may overshoot; the next purges
 
     def test_duplicate_candidates_counted_once(self):
         cache = SimilarityCache(_store(["aa", "ab"]))
-        cache.scores(0, "aa", ["ab", "ab", "ab"])
+        cache.scores([(0, "aa", ["ab", "ab", "ab"])])
         assert cache.stats["pair_entries"] == 1
 
     def test_clear_keeps_counters(self):
