@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.constraints import ViolationDetector, mine_constant_cfds
-from repro.ml import RandomForestClassifier
+from repro.ml import HistogramForestClassifier, RandomForestClassifier
 from repro.repair import RepairState, UpdateGenerator, levenshtein
 from repro.repair.similarity import SimilarityCache, levenshtein_many
 
@@ -216,16 +216,20 @@ def test_forest_fit(benchmark):
 
 
 def test_forest_predict(benchmark):
-    """Committee prediction throughput."""
+    """p̃-shaped committee voting: a histogram committee fitted on 300
+    examples x 13 features at depth 12 votes 600 rows (the mask-free
+    walk), equal to the exact-sort reference's per-tree votes."""
     rng = np.random.default_rng(0)
-    X = rng.integers(0, 20, size=(400, 13)).astype(float)
-    y = (X[:, 0] > 10).astype(np.int64)
-    forest = RandomForestClassifier(n_estimators=10, random_state=0).fit(X, y)
+    X = rng.integers(0, 20, size=(300, 13)).astype(float)
+    y = (X[:, 0] > 10).astype(np.int64) + (X[:, 5] > 15)
+    forest = HistogramForestClassifier(n_estimators=10, max_depth=12, random_state=0)
+    forest.fit(X, y, n_classes=3)
+    reference = RandomForestClassifier(n_estimators=10, max_depth=12, random_state=0)
+    reference.fit(X, y, n_classes=3)
+    queries = rng.integers(0, 20, size=(600, 13)).astype(float)
 
-    def predict():
-        return forest.vote_fractions(X).sum()
-
-    benchmark(predict)
+    votes = benchmark(forest.vote_fractions, queries)
+    assert np.array_equal(votes, reference.vote_fractions(queries))
 
 
 def test_cfd_mining(benchmark, adult_bench_dataset):

@@ -1753,7 +1753,7 @@ class ViolationDetector:
         )
         cols = self.db.columns
         block = np.ascontiguousarray(
-            cols.gather(probe_cols, [cols.position_of(tid) for tid in tids]).T
+            cols.gather(probe_cols, cols.positions_of(tids)).T
         )
         row = np.dtype((np.void, block.shape[1] * block.itemsize))
         return block.view(row).ravel().tolist()

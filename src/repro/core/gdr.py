@@ -351,7 +351,6 @@ class GDREngine:
                 self.detector,
                 db,
                 self.learner,
-                probability_many=self.probability_many,
             )
 
         # robustness layer: write-ahead journal + invariant guard
@@ -580,7 +579,11 @@ class GDREngine:
         ``SimilarityCache.stats``: hits, misses, evictions, entries, and
         ``kernel_batches``/``kernel_pairs``, the Eq. 7 kernel calls and
         the pairs they scored; ``cache`` →
-        ``GroupBenefitCache.stats``, ``voi`` → the probe-key table's
+        ``GroupBenefitCache.stats``: p̃ values reused and predicted
+        (``prob_memo_hits`` / ``prob_memo_misses``), predictions by
+        cause, and of the values a committee predicted those encoded
+        afresh (``prob_rows_encoded``) and those voting a stored
+        encoding (``prob_rows_reused``); ``voi`` → the probe-key table's
         ``DeltaKeyCache.stats``, ``generator`` →
         ``UpdateGenerator.stats`` (the witness, scenario-2 and decision
         memos: sizes, hits, misses, and the decision memo's evictions on
@@ -625,31 +628,9 @@ class GDREngine:
     def probability(self, update: CandidateUpdate) -> float:
         """``p̃``: learner confirm probability, score prior while cold."""
         prior = update.score if self.config.voi_prior == "score" else 0.5
-        if self.learner is None:
+        if self.learner is None or not self.learner.has_model(update.attribute):
             return prior
-        row = self.db.values_snapshot(update.tid)
-        prediction = self.learner.predict(update, row)
-        if prediction.feedback is None:
-            return prior
-        return prediction.confirm_probability
-
-    def probability_many(self, updates: list[CandidateUpdate]) -> list[float]:
-        """``p̃`` for many updates at once (same values as :meth:`probability`).
-
-        Batches the committee passes per attribute over rows read from
-        the columnar mirror; used by the benefit cache to predict the
-        members its stored p̃ vectors cannot cover, without one
-        single-row forest pass per update.
-        """
-        use_score = self.config.voi_prior == "score"
-        priors = [update.score if use_score else 0.5 for update in updates]
-        if self.learner is None:
-            return priors
-        fractions = self.learner.confirm_probabilities(updates, self.db.columns)
-        return [
-            prior if fraction is None else fraction
-            for prior, fraction in zip(priors, fractions)
-        ]
+        return self.learner.predict(update, self.db.values_snapshot(update.tid)).confirm_probability
 
     def current_loss(self) -> float:
         """Eq. 3 loss now (vs ground truth when available)."""

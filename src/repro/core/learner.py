@@ -399,34 +399,37 @@ class FeedbackLearner:
         return results
 
     def confirm_probabilities(
-        self, updates: Sequence[CandidateUpdate], columns
-    ) -> list[float | None]:
-        """Committee confirm fraction ``p̃`` per update, rows read from
-        the column store *columns*; ``None`` where the model abstains.
+        self,
+        attribute: str,
+        columns,
+        tids: np.ndarray,
+        values: Sequence[object],
+        encodings: np.ndarray,
+    ) -> np.ndarray | None:
+        """Committee confirm fraction ``p̃`` of suggestions on
+        *attribute*, rows read from the column store *columns*;
+        ``None`` while the model abstains.
 
-        The confirm probabilities of :meth:`predict_many` over the same
-        rows — same per-attribute batches in the same order, so the
-        encoder meets never-seen values in the same order — without
-        materialising predictions or vote entropies.
+        The suggestion ``i`` proposes ``values[i]`` for tuple
+        ``tids[i]``. *encodings* are the suggestions' stored encodings
+        (see
+        :meth:`~repro.ml.encoding.UpdateExampleEncoder.encode_columns`):
+        rows with code ``-1`` are encoded and filled in place, the
+        others are reused. Equal to the confirm probabilities of
+        :meth:`predict_many` over the same rows, without materialising
+        predictions or vote entropies.
         """
-        results: list[float | None] = [None] * len(updates)
-        by_attr: dict[str, list[int]] = {}
-        for i, update in enumerate(updates):
-            if self._models[update.attribute] is not None:
-                by_attr.setdefault(update.attribute, []).append(i)
-        confirm_class = feedback_to_class(Feedback.CONFIRM)
-        position_of = columns.position_of
-        for attr, indices in by_attr.items():
-            rows = np.fromiter(
-                (position_of(updates[i].tid) for i in indices), np.int64, len(indices)
-            )
-            X = self.encoder.encode_columns(
-                columns, rows, attr, [updates[i].value for i in indices]
-            )
-            fractions = self._models[attr].vote_fractions(X)[:, confirm_class].tolist()
-            for i, fraction in zip(indices, fractions):
-                results[i] = fraction
-        return results
+        model = self._models[attribute]
+        if model is None:
+            return None
+        X = self.encoder.encode_columns(
+            columns, columns.positions_of(tids), attribute, values, encodings
+        )
+        return model.vote_fractions(X)[:, feedback_to_class(Feedback.CONFIRM)]
+
+    def has_model(self, attribute: str) -> bool:
+        """True once the attribute's committee has been fitted."""
+        return self._models[attribute] is not None
 
     def confirm_probability(
         self, update: CandidateUpdate, row_values: Sequence[object]

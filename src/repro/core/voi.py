@@ -522,11 +522,22 @@ class _GroupProbs:
     was predicted under; the ungrouped pseudo-group spans attributes, so
     there it is an array of per-member versions and ``scores`` is
     ``None``. ``version`` is the group's membership version.
+
+    ``encodings`` (float64, one row per member) holds each member's
+    encoding of its suggested value for the committee: the learner
+    code, ``-1`` where the member has not been encoded (it was last
+    scored from the prior), and the similarity feature — 16 bytes a
+    member. An encoding stays exact for as long as the member's row
+    stamp holds still, whatever the committee does.
     """
 
-    __slots__ = ("version", "members", "tids", "scores", "models", "stamps", "probs")
+    __slots__ = (
+        "version", "members", "tids", "scores", "models", "stamps", "probs", "encodings"
+    )
 
-    def __init__(self, version, members, tids, scores, models, stamps, probs) -> None:
+    def __init__(
+        self, version, members, tids, scores, models, stamps, probs, encodings
+    ) -> None:
         self.version = version
         self.members = members
         self.tids = tids
@@ -534,6 +545,7 @@ class _GroupProbs:
         self.models = models
         self.stamps = stamps
         self.probs = probs
+        self.encodings = encodings
 
     def match(self, tids: np.ndarray, scores: np.ndarray) -> np.ndarray:
         """Stored position of each ``(tid, score)`` member, ``-1`` if absent.
@@ -579,18 +591,20 @@ class GroupBenefitCache:  # repolint: disable=cache-discipline
       Eq. 6 terms of all stale updates are recombined with the current
       weights in one vectorised pass;
     * **p̃ vectors** — each group keeps the ``p̃`` of its members
-      beside their tids, scores, row write stamps and committee
-      versions. A group whose membership, committee and member rows
-      all held still reuses the vector whole (the common case: only
-      the rule statistics moved). After a refit of the group's
-      committee every member is predicted; otherwise a vectorised
-      match on ``(tid, score)`` with an unmoved row stamp reuses the
-      stored value, and only the other members are predicted. All
-      predictions of a refresh go through one batched evaluator call,
-      members in stale-group order: an update is only ever
-      re-predicted with the row values and suggested value it was
-      predicted with before, which the learner's encoder has already
-      registered, so the encoder meets never-seen values in an
+      beside their tids, scores, row write stamps, committee versions
+      and committee encodings. A group whose membership, committee and
+      member rows all held still reuses the vector whole (the common
+      case: only the rule statistics moved). Otherwise a vectorised
+      match on ``(tid, score)`` finds each member's stored entry; with
+      an unmoved row stamp the entry's encoding is reused, and, while
+      the committee held still too, its value. After a refit of the
+      group's committee every member is predicted, but a member whose
+      row held still costs one gather and one committee walk: only
+      new members, written rows and members last scored from the
+      prior are encoded. All predictions of a refresh go through one
+      learner call per attribute, attributes in the order they first
+      appear among the stale groups' members and members in
+      stale-group order, so the encoder meets never-seen values in an
       unchanged order.
 
     The partition-statistics stamp is backed by the detector's
@@ -619,16 +633,15 @@ class GroupBenefitCache:  # repolint: disable=cache-discipline
         detector: ViolationDetector,
         db: Database,
         learner: FeedbackLearner | None = None,
-        probability_many: Callable[[list[CandidateUpdate]], list[float]] | None = None,
     ) -> None:
         self._estimator = estimator
         self._index = index
         self._detector = detector
         self._db = db
+        # committees predict p̃ from stored encodings; a member whose
+        # committee abstains (or every member, without a learner) is
+        # scored by the probability function given to refresh
         self._learner = learner
-        # optional batched p̃ evaluator (must agree value-for-value with
-        # the scalar probability function)
-        self._probability_many = probability_many
         self._cursor = index.dirty_cursor()
         self._benefit: dict[tuple[str, object], float] = {}
         # key -> (member version, attr stats version, model version, db size)
@@ -649,6 +662,8 @@ class GroupBenefitCache:  # repolint: disable=cache-discipline
         self._group_probs: dict[tuple[str, object], _GroupProbs] = {}
         self._reused_values = 0
         self._predicted = {"model": 0, "row": 0, "new": 0}
+        self._rows_encoded = 0
+        self._rows_reused = 0
         self._refreshes = 0
         self._groups_rescored = 0
         self._updates_rescored = 0
@@ -687,7 +702,9 @@ class GroupBenefitCache:  # repolint: disable=cache-discipline
         reused from stored vectors and values predicted; the
         ``prob_predicted_*`` entries split the predictions by cause
         (the group's committee moved, a member row was written, a new
-        member or group). ``prob_vectors`` / ``prob_vector_members``
+        member or group). Of the values a committee predicted,
+        ``prob_rows_encoded`` were encoded afresh and ``prob_rows_reused``
+        voted a stored encoding. ``prob_vectors`` / ``prob_vector_members``
         and ``row_stamps_size`` are current occupancies.
         ``refreshes``, ``groups_rescored``, ``updates_rescored`` and
         ``prob_vectors_reused`` total the refreshes that re-scored
@@ -699,6 +716,8 @@ class GroupBenefitCache:  # repolint: disable=cache-discipline
             "prob_predicted_model": self._predicted["model"],
             "prob_predicted_row": self._predicted["row"],
             "prob_predicted_new": self._predicted["new"],
+            "prob_rows_encoded": self._rows_encoded,
+            "prob_rows_reused": self._rows_reused,
             "prob_vectors": len(self._group_probs),
             "prob_vector_members": sum(len(v.probs) for v in self._group_probs.values()),
             "row_stamps_size": len(self._row_stamps),
@@ -828,7 +847,7 @@ class GroupBenefitCache:  # repolint: disable=cache-discipline
         and the number of groups whose stored vector was reused whole.
 
         Applies the reuse rule of the class docstring group by group,
-        then predicts every remaining member in one batched call.
+        then predicts every remaining member in one call per attribute.
         """
         index = self._index
         versions: dict[str, int] = {}
@@ -840,26 +859,30 @@ class GroupBenefitCache:  # repolint: disable=cache-discipline
             return version
 
         parts: list[np.ndarray] = []
-        # per group not reused whole: its key, the new record and the
-        # member positions to predict; records are stored once filled
-        fills: list[tuple[tuple[str, object], _GroupProbs, np.ndarray]] = []
-        pending: list[CandidateUpdate] = []
+        records: list[tuple[tuple[str, object], _GroupProbs]] = []
+        # members to predict per attribute, in first-appearance order:
+        # (record, member positions, their common suggested value or
+        # None where it varies)
+        pending: dict[str, list[tuple[_GroupProbs, np.ndarray, object]]] = {}
         reused = 0
         for group in groups:
             key = group.key
             members = group.updates
+            n = len(members)
             version = index.version(key)
             stored = self._group_probs.get(key)
-            at = None
+            # per member its stored position (None: the same members in
+            # the same order), and whether its committee held still
+            at = current = None
             if key[0] == "*":
                 # the pseudo-group spans attributes and values: match
                 # members by the whole update, committees per member
-                tids = np.fromiter((u.tid for u in members), np.int64, len(members))
+                tids = np.fromiter((u.tid for u in members), np.int64, n)
                 scores = None
                 models = np.array([committee(u.attribute) for u in members], dtype=np.int64)
                 if stored is not None:
                     where = {u: j for j, u in enumerate(stored.members)}
-                    at = np.fromiter((where.get(u, -1) for u in members), np.int64, len(members))
+                    at = np.fromiter((where.get(u, -1) for u in members), np.int64, n)
                     current = at >= 0
                     current[current] = stored.models[at[current]] == models[current]
             else:
@@ -868,48 +891,107 @@ class GroupBenefitCache:  # repolint: disable=cache-discipline
                 if same_members and stored.models == models and key not in written:
                     parts.append(stored.probs)
                     reused += 1
-                    self._reused_values += len(members)
+                    self._reused_values += n
                     continue
                 if same_members:
                     tids, scores = stored.tids, stored.scores
                 else:
-                    tids = np.fromiter((u.tid for u in members), np.int64, len(members))
-                    scores = np.fromiter((u.score for u in members), np.float64, len(members))
+                    tids = np.fromiter((u.tid for u in members), np.int64, n)
+                    scores = np.fromiter((u.score for u in members), np.float64, n)
+                    if stored is not None:
+                        at = stored.match(tids, scores)
                 if stored is not None and stored.models == models:
-                    at = np.arange(len(members)) if same_members else stored.match(tids, scores)
-                    current = at >= 0
+                    current = np.ones(n, dtype=bool) if at is None else at >= 0
             stamps = self._row_stamps_of(tids)
-            probs = np.empty(len(members), dtype=np.float64)
-            record = _GroupProbs(version, members, tids, scores, models, stamps, probs)
-            if at is None:
-                todo = np.arange(len(members))
-                self._predicted["new" if stored is None else "model"] += len(members)
-                pending.extend(members)
+            if stored is None:
+                probs = np.empty(n, dtype=np.float64)
+                encodings = np.full((n, 2), -1.0)
+                todo = np.arange(n)
+                self._predicted["new"] += n
             else:
-                known = at >= 0
-                keep = current & (stored.stamps[np.where(known, at, 0)] == stamps)
-                probs[keep] = stored.probs[at[keep]]
-                todo = np.flatnonzero(~keep)
-                n_known, n_current, n_keep = (int(m.sum()) for m in (known, current, keep))
-                self._reused_values += n_keep
-                self._predicted["new"] += len(members) - n_known
-                self._predicted["model"] += n_known - n_current
-                self._predicted["row"] += n_current - n_keep
-                pending.extend(members[i] for i in todo.tolist())
-            fills.append((key, record, todo))
-            parts.append(probs)
-        if pending:
-            if self._probability_many is not None:
-                fresh = np.array(self._probability_many(pending), dtype=np.float64)
-            else:
-                fresh = np.array([probability(u) for u in pending], dtype=np.float64)
-        offset = 0
-        for key, record, todo in fills:
+                # a member whose row held still keeps its encoding, and
+                # its value too while its committee held still
+                if at is None:
+                    known = None
+                    still = stored.stamps == stamps
+                    probs, encodings = stored.probs.copy(), stored.encodings.copy()
+                else:
+                    known = at >= 0
+                    at = np.where(known, at, 0)
+                    still = known & (stored.stamps[at] == stamps)
+                    probs, encodings = stored.probs[at], stored.encodings[at]
+                encodings[~still, 0] = -1.0
+                if current is None:
+                    # a keyed group's refit: every member counts as a
+                    # model-cause prediction
+                    todo = np.arange(n)
+                    self._predicted["model"] += n
+                else:
+                    keep = current & still
+                    todo = np.flatnonzero(~keep)
+                    n_known = n if known is None else int(known.sum())
+                    n_current, n_keep = int(current.sum()), n - len(todo)
+                    self._reused_values += n_keep
+                    self._predicted["new"] += n - n_known
+                    self._predicted["model"] += n_known - n_current
+                    self._predicted["row"] += n_current - n_keep
+            record = _GroupProbs(version, members, tids, scores, models, stamps, probs, encodings)
             if len(todo):
-                record.probs[todo] = fresh[offset : offset + len(todo)]
-                offset += len(todo)
+                if key[0] != "*":
+                    pending.setdefault(key[0], []).append((record, todo, key[1]))
+                else:
+                    by_attribute: dict[str, list[int]] = {}
+                    for i in todo.tolist():
+                        by_attribute.setdefault(members[i].attribute, []).append(i)
+                    for attribute, positions in by_attribute.items():
+                        pending.setdefault(attribute, []).append(
+                            (record, np.array(positions, dtype=np.int64), None)
+                        )
+            records.append((key, record))
+            parts.append(record.probs)
+        for attribute, segments in pending.items():
+            self._predict(attribute, segments, probability)
+        for key, record in records:
             self._group_probs[key] = record
         return np.concatenate(parts), reused
+
+    def _predict(
+        self,
+        attribute: str,
+        segments: list[tuple[_GroupProbs, np.ndarray, object]],
+        probability: ProbabilityFn,
+    ) -> None:
+        """Fill ``p̃`` (and the encodings) of the pending members of one
+        attribute: one committee walk over their stored encodings, or
+        *probability* per member while the committee abstains."""
+        fractions = None
+        if self._learner is not None and self._learner.has_model(attribute):
+            values: list[object] = []
+            for record, todo, value in segments:
+                if value is None:
+                    values.extend(record.members[i].value for i in todo.tolist())
+                else:
+                    values.extend([value] * len(todo))
+            encodings = np.concatenate([record.encodings[todo] for record, todo, __ in segments])
+            stored = int((encodings[:, 0] >= 0).sum())
+            fractions = self._learner.confirm_probabilities(
+                attribute,
+                self._db.columns,
+                np.concatenate([record.tids[todo] for record, todo, __ in segments]),
+                values,
+                encodings,
+            )
+            self._rows_reused += stored
+            self._rows_encoded += len(encodings) - stored
+        offset = 0
+        for record, todo, __ in segments:
+            end = offset + len(todo)
+            if fractions is None:
+                record.probs[todo] = [probability(record.members[i]) for i in todo.tolist()]
+            else:
+                record.probs[todo] = fractions[offset:end]
+                record.encodings[todo] = encodings[offset:end]
+            offset = end
 
     def _key_ids(
         self,

@@ -9,7 +9,9 @@ row-oriented tuple store, a columnar image of the relation:
 * a NumPy ``int32`` code matrix of shape ``(attributes, capacity)`` —
   each relation column is a contiguous row slice, one slot per live
   tuple (kept dense under deletion by swap-with-last);
-* a bidirectional ``tid <-> row position`` mapping.
+* a bidirectional ``tid <-> row position`` mapping: the tids by row
+  position, and one int array indexed by tid holding each tuple's row
+  position (``-1`` for ids never stored or deleted).
 
 Equality — the only predicate CFDs need — becomes integer comparison
 over contiguous arrays, so context masks, LHS partitions and RHS
@@ -123,7 +125,7 @@ class ColumnStore:
         # single fancy index down the row-position axis
         self._matrix = np.empty((ncols, _MIN_CAPACITY), dtype=np.int32)
         self._tids = np.empty(_MIN_CAPACITY, dtype=np.int64)
-        self._pos_of: dict[int, int] = {}
+        self._pos_of = np.full(_MIN_CAPACITY, -1, dtype=np.int64)
         self._size = 0
         for tid, values in sorted(items):
             self.append(tid, values)
@@ -150,16 +152,21 @@ class ColumnStore:
         matrix = self._matrix
         for pos, value in enumerate(values):
             matrix[pos, row] = self._vocabs[pos].encode(value)
+        if tid >= len(self._pos_of):
+            pos_of = np.full(max(tid + 1, 2 * len(self._pos_of)), -1, dtype=np.int64)
+            pos_of[: len(self._pos_of)] = self._pos_of
+            self._pos_of = pos_of
         self._pos_of[tid] = row
         self._size += 1
 
     def set_cell(self, tid: int, pos: int, value: object) -> None:
         """Re-encode one cell after a write."""
-        self._matrix[pos, self._pos_of[tid]] = self._vocabs[pos].encode(value)
+        self._matrix[pos, self.position_of(tid)] = self._vocabs[pos].encode(value)
 
     def remove(self, tid: int) -> None:
         """Drop one tuple, keeping the arrays dense (swap-with-last)."""
-        row = self._pos_of.pop(tid)
+        row = self.position_of(tid)
+        self._pos_of[tid] = -1
         last = self._size - 1
         if row != last:
             moved_tid = int(self._tids[last])
@@ -177,7 +184,7 @@ class ColumnStore:
 
     def gather_row(self, tid: int, positions: np.ndarray) -> np.ndarray:
         """Codes of tuple *tid* at the given column positions (one gather)."""
-        return self._matrix[positions, self._pos_of[tid]]
+        return self._matrix[positions, self.position_of(tid)]
 
     def gather(self, positions: Sequence[int], rows: Sequence[int]) -> np.ndarray:
         """Codes at column *positions* x storage *rows* (one slice).
@@ -209,13 +216,31 @@ class ColumnStore:
 
     def position_of(self, tid: int) -> int:
         """Current row position of tuple *tid*."""
-        try:
-            return self._pos_of[tid]
-        except KeyError:
-            raise UnknownTupleError(tid) from None
+        if tid >= 0:
+            try:
+                row = self._pos_of.item(tid)
+            except IndexError:
+                row = -1
+            if row >= 0:
+                return row
+        raise UnknownTupleError(tid)
+
+    def positions_of(self, tids: np.ndarray) -> np.ndarray:
+        """Current row positions of the tuples *tids* (one gather)."""
+        tids = np.asarray(tids, dtype=np.int64)
+        inside = (tids >= 0) & (tids < len(self._pos_of))
+        rows = self._pos_of[np.where(inside, tids, 0)]
+        absent = ~inside | (rows < 0)
+        if absent.any():
+            raise UnknownTupleError(int(tids[np.argmax(absent)]))
+        return rows
 
     def __contains__(self, tid: object) -> bool:
-        return tid in self._pos_of
+        try:
+            self.position_of(tid)  # type: ignore[arg-type]
+        except (UnknownTupleError, TypeError):
+            return False
+        return True
 
     def __len__(self) -> int:
         return self._size
@@ -239,9 +264,8 @@ class ColumnStore:
                 return np.zeros(self._size, dtype=bool)
             mask &= self.codes(pos) == code
         if exclude_tid is not None:
-            row = self._pos_of.get(exclude_tid)
-            if row is not None:
-                mask[row] = False
+            if exclude_tid in self:
+                mask[self.position_of(exclude_tid)] = False
         return mask
 
     def match_tids(

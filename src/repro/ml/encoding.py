@@ -188,6 +188,7 @@ class UpdateExampleEncoder:
         rows: np.ndarray,
         attribute: str,
         suggested_values: Sequence[object],
+        encodings: np.ndarray | None = None,
     ) -> np.ndarray:
         """:meth:`encode_many` for rows read from a column store's codes.
 
@@ -198,8 +199,23 @@ class UpdateExampleEncoder:
         encounter order; store codes already looked up translate
         through a per-attribute array instead of one dictionary lookup
         per cell.
+
+        *encodings* (float64, ``(len(rows), 2)``) optionally holds a
+        stored encoding of each example's suggested value: the last two
+        feature columns, its code and its similarity, with code ``-1``
+        where the example has not been encoded. Only those examples are
+        encoded, and their rows are filled in place; the others reuse
+        theirs, which stays exact while the example's row holds still.
+        Such an example's values were all registered when it was
+        encoded, so leaving it out changes neither the vocabularies nor
+        the order in which they meet never-seen values. The
+        similarities of the encoded examples go through one ``scores``
+        batch when ``self.sim`` is a
+        :class:`~repro.repair.similarity.SimilarityCache`.
         """
         count = len(suggested_values)
+        if encodings is None:
+            encodings = np.full((count, 2), -1.0)
         features = np.empty((count, self.n_features), dtype=np.float64)
         n_attrs = len(self.schema)
         target_pos = self.schema.position(attribute)
@@ -209,26 +225,39 @@ class UpdateExampleEncoder:
                 features[:, j] = self._translate(attr, columns.vocabulary(j), codes)
         vocab = columns.vocabulary(target_pos)
         current_codes = columns.codes(target_pos)[rows]
-        currents = vocab.decode_many(current_codes.tolist())
-        target_encode = self._encoders[attribute].encode
-        if (self._code_map(attribute, vocab)[current_codes] >= 0).all():
-            # every current value is known, so only suggestions can
-            # meet the encoder for the first time
-            features[:, n_attrs] = [target_encode(value) for value in suggested_values]
-        else:
-            # interleave current and suggested values exactly like
-            # encode_many does
-            suggested_codes = []
-            for current, value in zip(currents, suggested_values):
-                target_encode(current)
-                suggested_codes.append(target_encode(value))
-            features[:, n_attrs] = suggested_codes
+        fresh = np.flatnonzero(encodings[:, 0] < 0)
+        if len(fresh):
+            fresh_codes = current_codes[fresh]
+            currents = vocab.decode_many(fresh_codes.tolist())
+            values = [suggested_values[i] for i in fresh.tolist()]
+            target_encode = self._encoders[attribute].encode
+            if (self._code_map(attribute, vocab)[fresh_codes] >= 0).all():
+                # every current value is known, so only suggestions can
+                # meet the encoder for the first time
+                encodings[fresh, 0] = [target_encode(value) for value in values]
+            else:
+                # interleave current and suggested values exactly like
+                # encode_many does
+                suggested_codes = []
+                for current, value in zip(currents, values):
+                    target_encode(current)
+                    suggested_codes.append(target_encode(value))
+                encodings[fresh, 0] = suggested_codes
+            encodings[fresh, 1] = self._similarities(target_pos, currents, values)
         features[:, target_pos] = self._translate(attribute, vocab, current_codes)
-        sim = self.sim
-        features[:, n_attrs + 1] = [
-            float(sim(current, value)) for current, value in zip(currents, suggested_values)
-        ]
+        features[:, n_attrs:] = encodings
         return features
+
+    def _similarities(
+        self, pos: int, currents: list[object], values: list[object]
+    ) -> list[float]:
+        """``R(current, value)`` per pair; one code-space batch through
+        a :class:`~repro.repair.similarity.SimilarityCache`."""
+        scores = getattr(self.sim, "scores", None)
+        if scores is None:
+            return [float(self.sim(current, value)) for current, value in zip(currents, values)]
+        requests = [(pos, current, (value,)) for current, value in zip(currents, values)]
+        return [out[0] for out in scores(requests)]
 
     def _code_map(self, attribute: str, vocab) -> np.ndarray:
         entry = self._code_maps.get(attribute)

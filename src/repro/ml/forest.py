@@ -632,12 +632,56 @@ class HistogramForestClassifier(RandomForestClassifier):
             [normalised_importances(row.copy()) for row in self._importances]
         ).mean(axis=0)
 
+    def __getstate__(self) -> dict:
+        # the walk tables are derived from the node arrays: leaving them
+        # out keeps a pickled committee (a checkpoint) byte-identical
+        state = self.__dict__.copy()
+        state.pop("_walk", None)
+        return state
+
+    def _walk_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """The node arrays in the form the mask-free walk reads.
+
+        ``feature`` and ``threshold`` per node; ``children[2 * id]`` is
+        the right child and ``children[2 * id + 1]`` the left one, so
+        the branch taken is ``children[2 * id + (x <= threshold)]``. A
+        leaf reads column 0 and has itself as both children, so a
+        ``(tree, row)`` state that reached its leaf stays there. The
+        last entry is the committee's height: that many levels bring
+        every state to its leaf.
+        """
+        walk = self.__dict__.get("_walk")
+        if walk is None:
+            nodes = self._nodes
+            ids = np.arange(nodes.size)
+            leaf = nodes.feature[: nodes.size] == _LEAF
+            children = np.empty(2 * nodes.size, dtype=np.int64)
+            children[0::2] = np.where(leaf, ids, nodes.right[: nodes.size])
+            children[1::2] = np.where(leaf, ids, nodes.left[: nodes.size])
+            height = 0
+            frontier = self._roots[~leaf[self._roots]]
+            while len(frontier):
+                height += 1
+                frontier = np.concatenate([nodes.left[frontier], nodes.right[frontier]])
+                frontier = frontier[~leaf[frontier]]
+            walk = self._walk = (
+                np.where(leaf, 0, nodes.feature[: nodes.size]),
+                nodes.threshold[: nodes.size],
+                children,
+                height,
+            )
+        return walk
+
     def vote_fractions(self, X: np.ndarray) -> np.ndarray:
         """Fraction of committee members voting each class, ``(n, C)``.
 
         One level-synchronous descent of every ``(tree, row)`` pair,
         then one ``bincount`` to accumulate the votes — identical
-        output to the per-tree reference walk.
+        output to the per-tree reference walk. The descent carries no
+        mask: each level is one feature gather, one compare and one
+        child gather over the whole state, with leaves looping on
+        themselves (:meth:`_walk_tables`), for as many levels as the
+        committee is high.
         """
         if not self._fitted:
             raise NotFittedError("RandomForestClassifier used before fit")
@@ -652,17 +696,14 @@ class HistogramForestClassifier(RandomForestClassifier):
                     for i in range(0, n, _VOTE_CHUNK_ROWS)
                 ]
             )
-        nodes = self._nodes
-        n_trees = len(self._roots)
+        feature, threshold, children, height = self._walk_tables()
+        flat = np.ascontiguousarray(X).ravel()
+        base = np.arange(0, n * X.shape[1], X.shape[1])  # each row's offset in flat
         states = np.repeat(self._roots[:, None], n, axis=1)  # (T, n)
-        rows = np.broadcast_to(np.arange(n)[None, :], (n_trees, n))
-        active = nodes.feature[states] != _LEAF
-        while active.any():
-            current = states[active]
-            go_left = X[rows[active], nodes.feature[current]] <= nodes.threshold[current]
-            states[active] = np.where(go_left, nodes.left[current], nodes.right[current])
-            active = nodes.feature[states] != _LEAF
+        for _ in range(height):
+            go_left = flat[base + feature[states]] <= threshold[states]
+            states = children[2 * states + go_left]
         labels = self._label[states]  # (T, n)
-        flat = rows.ravel() * self.n_classes_ + labels.ravel()
-        votes = np.bincount(flat, minlength=n * self.n_classes_)
-        return votes.reshape(n, self.n_classes_).astype(np.float64) / n_trees
+        flat_votes = (np.arange(n) * self.n_classes_ + labels).ravel()
+        votes = np.bincount(flat_votes, minlength=n * self.n_classes_)
+        return votes.reshape(n, self.n_classes_).astype(np.float64) / len(self._roots)

@@ -1,5 +1,6 @@
 """Tests for :mod:`repro.core.learner` (per-attribute feedback models)."""
 
+import numpy as np
 import pytest
 
 from repro.core import FeedbackLearner
@@ -136,10 +137,39 @@ class TestTrainedModel:
             None if p.feedback is None else p.confirm_probability
             for p in by_rows.predict_many(updates, [db.values_snapshot(u.tid) for u in updates])
         ]
-        got = by_codes.confirm_probabilities(updates, db.columns)
+        got: list = [None] * len(updates)
+        stored = {}
+        for attribute in ("city", "zip"):  # first-appearance order
+            indices = [i for i, u in enumerate(updates) if u.attribute == attribute]
+            encodings = np.full((len(indices), 2), -1.0)
+            fractions = by_codes.confirm_probabilities(
+                attribute,
+                db.columns,
+                np.array([updates[i].tid for i in indices]),
+                [updates[i].value for i in indices],
+                encodings,
+            )
+            stored[attribute] = (indices, encodings)
+            for j, i in enumerate(indices):
+                got[i] = None if fractions is None else float(fractions[j])
         assert got == expected
         assert got[2] is None and got[0] is not None
         assert by_codes.encoder.export_vocab() == by_rows.encoder.export_vocab()
+        # the stored encodings vote the same p̃ without touching the
+        # vocabularies; an abstaining attribute encodes nothing
+        indices, encodings = stored["city"]
+        assert (encodings[:, 0] >= 0).all()
+        assert (stored["zip"][1] == -1).all()
+        vocab = by_codes.encoder.export_vocab()
+        again = by_codes.confirm_probabilities(
+            "city",
+            db.columns,
+            np.array([updates[i].tid for i in indices]),
+            ["unused"] * len(indices),
+            encodings.copy(),
+        )
+        assert again.tolist() == [got[i] for i in indices]
+        assert by_codes.encoder.export_vocab() == vocab
 
     def test_repr(self, schema):
         learner = FeedbackLearner(schema, seed=0)

@@ -263,3 +263,31 @@ class TestProbVectorCauses:
         after = cache.stats
         assert self._delta(before, after) == {"model": members, "row": 0, "new": 0}
         assert after["prob_memo_hits"] == before["prob_memo_hits"]
+
+
+def test_refits_vote_stored_encodings_on_the_golden_hospital_instance():
+    """Run to completion on the golden hospital instance, a committee
+    re-predicts most values after a refit of its own: at least 85% of
+    the model-cause predictions vote a stored encoding instead of
+    re-encoding the member. (At the goldens' 40-label budget first
+    fits dominate, whose members were only ever scored from the prior
+    and must be encoded.)"""
+    from tests.golden.test_trajectories import CONFIG_SEED, DATA_SEED, N
+
+    ds = load_dataset("hospital", n=N, seed=DATA_SEED)
+    engine = GDREngine(
+        ds.fresh_dirty(),
+        ds.rules,
+        GroundTruthOracle(ds.clean),
+        GDRConfig.gdr(seed=CONFIG_SEED),
+        clean_db=ds.clean,
+    )
+    try:
+        engine.run()
+        cache = engine.health()["cache"]
+    finally:
+        engine.detach()
+    predicted = cache["prob_rows_encoded"] + cache["prob_rows_reused"]
+    assert 0 < predicted <= cache["prob_memo_misses"]
+    assert cache["prob_rows_encoded"] > 0
+    assert cache["prob_rows_reused"] >= 0.85 * cache["prob_predicted_model"] > 0

@@ -15,9 +15,18 @@ the attribute-spanning ``*`` group of ungrouped active learning.
 The invariant guard cannot stand in for this test: its reference
 ranking shares the live estimator, so a stale key would agree with
 itself.
+
+After a refit the cache votes members whose rows held still from their
+stored committee encodings. The lockstep tests run every step on a
+second engine whose learner re-encodes every member it predicts
+(``tests/oracles/probabilities.py``): both must store the same ``p̃``
+and encodings, and their encoders the same vocabularies.
 """
 
 from __future__ import annotations
+
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -26,6 +35,7 @@ from hypothesis import strategies as st
 from repro.core import GDRConfig, GDREngine, GroundTruthOracle, VOIEstimator
 from repro.datasets import load_dataset
 from repro.repair import Feedback, UserFeedback
+from tests.oracles.probabilities import use_fresh_probabilities
 
 
 class DenseOnlyStats:
@@ -131,22 +141,41 @@ def _delete(engine, a: int) -> None:
     db.delete(tid)
 
 
+def _step(engine, op: str, a: int, b: int, directory: str = ""):
+    """Apply one step; returns the engine the session continues on."""
+    if op == "feedback":
+        _feedback(engine, a, b)
+    elif op == "write":
+        _write(engine, a, b)
+    elif op == "refit":
+        engine.learner.retrain_all()
+    elif op == "insert":
+        _insert(engine, a, b)
+    elif op == "delete":
+        _delete(engine, a)
+    elif op == "invalidate":
+        engine.benefit_cache.invalidate()
+    elif op == "restore":
+        return _restore(engine, directory)
+    else:
+        engine.detector.recompute()
+    return engine
+
+
+def _restore(engine, directory: str):
+    """A checkpoint restore: the session continues on a new engine."""
+    path = Path(directory) / f"session-{id(engine)}.ckpt"
+    engine.checkpoint(path)
+    restored = GDREngine.restore(path, engine.rules, engine.oracle)
+    engine.detach()
+    return restored
+
+
 def _run(dataset: str, n: int, steps, preset: str = "gdr") -> None:
     engine = _engine(dataset, n, preset)
     _assert_parity(engine)
     for op, a, b in steps:
-        if op == "feedback":
-            _feedback(engine, a, b)
-        elif op == "write":
-            _write(engine, a, b)
-        elif op == "refit":
-            engine.learner.retrain_all()
-        elif op == "insert":
-            _insert(engine, a, b)
-        elif op == "delete":
-            _delete(engine, a)
-        else:
-            engine.detector.recompute()
+        engine = _step(engine, op, a, b)
         _assert_parity(engine)
 
 
@@ -205,3 +234,67 @@ def _deterministic_churn(preset: str) -> None:
     assert stats["key_reprobes_new"] > 0
     assert stats["key_reprobes_moved"] > 0
     assert stats["key_table_hits"] > 0
+
+
+def _assert_lockstep(live, oracle) -> None:
+    stored, fresh = live.benefit_cache._group_probs, oracle.benefit_cache._group_probs
+    assert set(stored) == set(fresh)
+    for key, record in stored.items():
+        assert record.probs.tolist() == fresh[key].probs.tolist()
+        assert record.encodings.tolist() == fresh[key].encodings.tolist()
+    assert live.learner.encoder.export_vocab() == oracle.learner.encoder.export_vocab()
+
+
+def _run_lockstep(dataset: str, n: int, steps, preset: str = "gdr") -> dict:
+    engines = [_engine(dataset, n, preset), _engine(dataset, n, preset)]
+    use_fresh_probabilities(engines[1].learner)
+
+    def check() -> None:
+        for engine in engines:
+            _assert_parity(engine)
+        _assert_lockstep(*engines)
+
+    check()
+    with tempfile.TemporaryDirectory() as directory:
+        for op, a, b in steps:
+            engines = [_step(engine, op, a, b, directory) for engine in engines]
+            if op == "restore":
+                use_fresh_probabilities(engines[1].learner)
+            check()
+    return engines[0].benefit_cache.stats
+
+
+_LOCKSTEP_OPS = _OPS + ["refit", "invalidate", "restore"]
+_LOCKSTEP_STEP = st.tuples(
+    st.sampled_from(_LOCKSTEP_OPS),
+    st.integers(0, 10**6),
+    st.integers(0, 10**6),
+)
+
+
+@pytest.mark.parametrize(
+    "dataset,n,preset",
+    [("hospital", 60, "gdr"), ("adult", 80, "gdr"), ("hospital", 60, "active_learning")],
+)
+@settings(
+    max_examples=8,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+    derandomize=True,
+)
+@given(steps=st.lists(_LOCKSTEP_STEP, min_size=1, max_size=14))
+def test_stored_encodings_equal_fresh_encoding(dataset, n, preset, steps):
+    _run_lockstep(dataset, n, steps, preset)
+
+
+def test_refits_vote_stored_encodings():
+    """A fixed run where refits dominate: most values a committee
+    predicts vote a stored encoding, and every step stays in lockstep
+    with fresh encoding."""
+    steps = []
+    for i in range(12):
+        steps += [("feedback", 7 * i + 1, i), ("feedback", 5 * i + 2, i + 1), ("refit", 0, 0)]
+        if i % 4 == 3:
+            steps += [("write", 11 * i + 3, 2 * i + 1), ("delete", 13 * i, 0), ("insert", i, i)]
+    stats = _run_lockstep("hospital", 60, steps)
+    assert stats["prob_rows_reused"] > stats["prob_rows_encoded"] > 0

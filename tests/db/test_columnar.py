@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.db import ColumnStore, Database, Schema, Vocabulary
+from repro.errors import UnknownTupleError
 
 
 @pytest.fixture
@@ -84,6 +85,27 @@ class TestColumnStoreMaintenance:
         for tid in db.tids():
             row = cols.position_of(tid)
             assert cols.vocabulary(0).decode(cols.code_at(row, 0)) == db.value(tid, "a")
+
+    def test_positions_of_follows_swap_remove(self, db):
+        """The tid-indexed position array stays exact through appends
+        past its capacity and swap-removes that move the last row."""
+        cols = db.columns
+        for i in range(40):
+            db.insert({"a": f"n{i}", "b": i})
+        for tid in (0, 7, 43, 20):
+            db.delete(tid)
+        tids = np.array(db.tids(), dtype=np.int64)
+        rows = cols.positions_of(tids)
+        assert rows.tolist() == [cols.position_of(t) for t in tids.tolist()]
+        assert cols.tids()[rows].tolist() == tids.tolist()
+        assert sorted(rows.tolist()) == list(range(len(cols)))
+        for absent in (0, 43, 44, -1):
+            assert absent not in cols
+            with pytest.raises(UnknownTupleError):
+                cols.position_of(absent)
+            with pytest.raises(UnknownTupleError):
+                cols.positions_of(np.array([1, absent]))
+        assert "a" not in cols
 
     def test_growth_beyond_initial_capacity(self):
         db = Database(Schema("r", ["a"]))

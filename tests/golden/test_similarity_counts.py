@@ -13,6 +13,16 @@ hundreds of times a session), as generated with per-decision scoring.
 Candidate pools hold sets of strings, so the order of a memo bucket
 follows the string hash: each session runs in a child interpreter with
 ``PYTHONHASHSEED=0``.
+
+The fixture was regenerated once since (its ``reason``): the learner's
+``p̃`` path stopped looking up the similarities of members that vote a
+stored encoding, and scores the members it still encodes through the
+code-space memo instead of the string-keyed one. Its ``previous``
+block keeps the default-capacity counts from before, and
+:func:`test_regeneration_moved_only_the_learner_lookups` pins what that
+change may move: at the default capacity, nothing of the code-space
+memo (entries, evictions, sample); hits do not rise; and every miss
+saved is a string-keyed entry no longer made.
 """
 
 from __future__ import annotations
@@ -84,3 +94,14 @@ def test_session_similarity_counts(name):
     got = _run_child(CAPACITIES[name])
     for dataset, counts in got.items():
         assert counts == expected[f"{dataset}-{name}"], dataset
+
+
+def test_regeneration_moved_only_the_learner_lookups():
+    fixture = json.loads(FIXTURE.read_text())
+    for name, before in fixture["previous"].items():
+        now = fixture["cases"][name]
+        for key in ("evictions", "pair_entries", "sample"):
+            assert now[key] == before[key], (name, key)
+        assert now["hits"] <= before["hits"], name
+        saved = before["misses"] - now["misses"]
+        assert saved == before["str_entries"] - now["str_entries"] >= 0, name

@@ -189,8 +189,16 @@ class TestEncodeColumns:
                 suggested = [rng.choice(pool + ["s1", "s2"]) for __ in tids]
                 expected = by_rows.encode_many([rows[t] for t in tids], attribute, suggested)
                 positions = np.array([store.position_of(t) for t in tids], dtype=np.int64)
-                got = by_codes.encode_columns(store, positions, attribute, suggested)
+                encodings = np.full((len(tids), 2), -1.0)
+                got = by_codes.encode_columns(store, positions, attribute, suggested, encodings)
                 assert np.array_equal(got, expected)
+                # the encodings it stored reproduce the features of the
+                # unchanged rows without touching a vocabulary
+                vocab = by_codes.export_vocab()
+                unused = ["unused"] * len(tids)
+                again = by_codes.encode_columns(store, positions, attribute, unused, encodings)
+                assert np.array_equal(again, expected)
+                assert by_codes.export_vocab() == vocab
             assert by_codes.export_vocab() == by_rows.export_vocab()
 
     def test_restored_vocabulary_drops_translations(self):

@@ -1,10 +1,15 @@
 """Tests for :mod:`repro.ml.forest` (the committee of §4.2)."""
 
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigError, NotFittedError
 from repro.ml import HistogramForestClassifier, RandomForestClassifier
+from repro.ml.forest import _VOTE_CHUNK_ROWS as _CHUNK
 
 
 def _blobs(n=120, seed=0):
@@ -145,3 +150,64 @@ class TestFloatingPointState:
             HistogramForestClassifier(n_estimators=6, random_state=4).fit(X, y, n_classes=3)
         assert len(calls) > 20
         assert np.geterr() == before
+
+
+class TestMaskFreeWalk:
+    """The histogram committee's mask-free descent (leaves looping on
+    themselves, a fixed number of levels) votes exactly like the
+    exact-sort reference's per-tree walks."""
+
+    @staticmethod
+    def _pair(X, y, max_depth, seed):
+        kwargs = {"n_estimators": 4, "max_depth": max_depth, "random_state": seed}
+        exact = RandomForestClassifier(**kwargs).fit(X, y, n_classes=3)
+        hist = HistogramForestClassifier(**kwargs).fit(X, y, n_classes=3)
+        return exact, hist
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        n_train=st.integers(1, 40),
+        n_features=st.integers(1, 4),
+        levels=st.integers(1, 4),
+        labels=st.integers(1, 3),
+        max_depth=st.sampled_from([None, 1, 2, 5]),
+        rows=st.sampled_from([1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_votes_equal_the_exact_reference(
+        self, n_train, n_features, levels, labels, max_depth, rows, seed
+    ):
+        rng = np.random.default_rng(seed)
+        X = rng.integers(0, levels, size=(n_train, n_features)).astype(np.float64)
+        y = rng.integers(0, labels, size=n_train)
+        exact, hist = self._pair(X, y, max_depth, seed)
+        probe = rng.integers(-1, levels + 1, size=(rows, n_features)).astype(np.float64)
+        expected = exact.vote_fractions(probe)
+        assert np.array_equal(hist.vote_fractions(probe), expected)
+        # a pickle round-trip keeps the node arrays, not the walk tables
+        restored = pickle.loads(pickle.dumps(hist))
+        assert "_walk" not in restored.__dict__
+        assert np.array_equal(restored.vote_fractions(probe), expected)
+
+    def test_a_committee_of_root_leaves(self):
+        X = np.arange(12, dtype=np.float64).reshape(6, 2)
+        y = np.ones(6, dtype=np.int64)  # one class: every root is a leaf
+        exact, hist = self._pair(X, y, None, 0)
+        assert hist._walk_tables()[3] == 0
+        assert np.array_equal(hist.vote_fractions(X), exact.vote_fractions(X))
+        assert hist.vote_fractions(X)[:, 1].tolist() == [1.0] * 6
+
+    def test_depth_cap_bounds_the_walk(self):
+        X, y = _blobs(80, seed=3)
+        for max_depth in (1, 2, 3):
+            exact, hist = self._pair(X, y, max_depth, 5)
+            assert 1 <= hist._walk_tables()[3] <= max_depth
+            assert np.array_equal(hist.vote_fractions(X), exact.vote_fractions(X))
+
+    def test_pickled_bytes_ignore_the_walk_tables(self):
+        X, y = _blobs(60, seed=1)
+        hist = self._pair(X, y, 4, 2)[1]
+        before = pickle.dumps(hist)
+        hist.vote_fractions(X)
+        assert "_walk" in hist.__dict__
+        assert pickle.dumps(hist) == before
