@@ -78,15 +78,17 @@ def mine_constant_cfds(
         return []
     min_count = max(1, int(support * n))
     attrs = db.schema.attributes
+    # every column decoded once, keyed by tuple id
+    all_tids = db.tids()
+    by_tid = {attr: dict(zip(all_tids, db.column(attr))) for attr in attrs}
 
     # level 1: frequent (attribute, value) items with their tid lists
     tid_lists: dict[tuple[tuple[str, object], ...], set[int]] = {}
     item_index: dict[str, list[tuple[str, object]]] = defaultdict(list)
     for attr in attrs:
         histogram: dict[object, set[int]] = defaultdict(set)
-        pos = db.schema.position(attr)
-        for tid in db.tids():
-            histogram[db.values_snapshot(tid)[pos]].add(tid)
+        for tid, value in by_tid[attr].items():
+            histogram[value].add(tid)
         for value, tids in histogram.items():
             if len(tids) >= min_count:
                 item = (attr, value)
@@ -102,8 +104,7 @@ def mine_constant_cfds(
         for rhs in attrs:
             if rhs in lhs_pattern:
                 continue
-            pos = db.schema.position(rhs)
-            counts = Counter(db.values_snapshot(tid)[pos] for tid in tids)
+            counts = Counter(map(by_tid[rhs].__getitem__, tids))
             value, count = counts.most_common(1)[0]
             if count / len(tids) < confidence:
                 continue
@@ -153,6 +154,11 @@ def _is_redundant(
     return False
 
 
+def _lhs_keys(db: Database, lhs: Sequence[str]) -> list[tuple[object, ...]]:
+    """Every tuple's *lhs* values, in tid order (one decode per column)."""
+    return list(zip(*(db.column(a) for a in lhs))) if lhs else [()] * len(db)
+
+
 def fd_violation_rate(db: Database, lhs: Sequence[str], rhs: str) -> float:
     """Fraction of tuples deviating from the FD ``lhs -> rhs``.
 
@@ -161,12 +167,9 @@ def fd_violation_rate(db: Database, lhs: Sequence[str], rhs: str) -> float:
     value. A true FD over data with an error rate ``e`` scores ≈ ``e``.
     Returns 0.0 on an empty database.
     """
-    lhs_pos = db.schema.positions(lhs)
-    rhs_pos = db.schema.position(rhs)
     groups: dict[tuple[object, ...], Counter] = defaultdict(Counter)
-    for tid in db.tids():
-        values = db.values_snapshot(tid)
-        groups[tuple(values[p] for p in lhs_pos)][values[rhs_pos]] += 1
+    for key, value in zip(_lhs_keys(db, lhs), db.column(rhs)):
+        groups[key][value] += 1
     n = len(db)
     if n == 0:
         return 0.0
@@ -211,8 +214,7 @@ def discover_variable_cfds(
     baselines: dict[str, float] = {}
     for lhs, rhs in candidates:
         lhs = list(lhs)
-        lhs_pos = db.schema.positions(lhs)
-        keys = {tuple(db.values_snapshot(tid)[p] for p in lhs_pos) for tid in db.tids()}
+        keys = set(_lhs_keys(db, lhs))
         if not keys or len(db) / len(keys) < min_sharing:
             continue
         rate = fd_violation_rate(db, lhs, rhs)

@@ -16,7 +16,7 @@ a partition of size ``G`` with RHS value counts ``{c_v}`` contributes
 holds more than one distinct RHS value (otherwise zero). Single-cell
 updates touch at most two partitions per rule, so maintenance is cheap.
 
-Full builds run on the database's dictionary-encoded columnar mirror:
+Full builds run on the database's dictionary-encoded code matrix:
 context masks are vectorized code comparisons, and the per-partition
 ``G² − Σ c_v²`` counts come from ``np.unique``/``np.bincount`` group-id
 arithmetic instead of per-tuple Python loops. The pre-columnar
@@ -1179,7 +1179,7 @@ class ViolationDetector:
     The detector registers itself as a database listener at
     construction and stays consistent under every subsequent
     :meth:`~repro.db.database.Database.set_value`. Full builds run
-    vectorized over the database's columnar mirror by default; pass
+    vectorized over the database's code matrix by default; pass
     ``build="reference"`` to use the per-tuple Python path (the two are
     cross-checked by :meth:`verify`).
 
@@ -1302,9 +1302,7 @@ class ViolationDetector:
         affected = plan.affected(change.tid, change.old, change.new)
         if not affected:
             return
-        # live row view, not a snapshot: update_cell only reads
-        # positionally and never retains the sequence
-        values = self.db.values_view(change.tid)
+        values = self.db.values_snapshot(change.tid)
         versions = self._attr_versions
         rule_versions = self._rule_versions
         moved = False
@@ -1672,9 +1670,7 @@ class ViolationDetector:
             if reads is not None:
                 reads.extend(() for __ in values)
             return results
-        # live row view, not a snapshot: the what-if arithmetic only
-        # reads positionally and never retains (or writes) the row
-        row = self.db.values_view(tid)
+        row = self.db.values_snapshot(tid)
         current = row[pos]
         candidate_reads = [[] for __ in values] if reads is not None else None
         for state in var_states:

@@ -51,7 +51,7 @@ from repro.core.voi import GroupBenefitCache, VOIEstimator
 from repro.db.database import Database
 from repro.db.journal import FeedbackJournal, ReplayOracle
 from repro.db.schema import Schema
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SchemaError
 from repro.testing.faults import fault_hit
 from repro.repair.candidate import CandidateUpdate
 from repro.repair.consistency import ConsistencyManager
@@ -499,12 +499,16 @@ class GDREngine:
                 f"expected {cls._CHECKPOINT_FORMAT}"
             )
         schema = Schema(payload["schema"][0], payload["schema"][1])
-        db = Database.from_rows(schema, payload["rows"], payload["next_tid"])
+        try:
+            db = Database.from_rows(schema, payload["rows"], payload["next_tid"])
+            initial_db = Database.from_rows(
+                schema, payload["initial_rows"], payload["initial_next_tid"]
+            )
+        except SchemaError as exc:
+            raise ConfigError(f"checkpoint {path} holds an invalid instance: {exc}") from exc
         config = GDRConfig(**payload["config"])
         engine = cls(db, rules, oracle, config, clean_db, generate=False)
-        engine.initial_db = Database.from_rows(
-            schema, payload["initial_rows"], payload["initial_next_tid"]
-        )
+        engine.initial_db = initial_db
         engine.initial_dirty = payload["initial_dirty"]
         # order matters: flags first (they carry no pool entries), then
         # the pool itself — each put flows through the state events into

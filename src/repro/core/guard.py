@@ -3,12 +3,12 @@
 The engine trades per-iteration rebuilds for incrementally maintained
 structures — the event-driven :class:`~repro.core.grouping.GroupIndex`,
 the stamp-guarded :class:`~repro.core.voi.GroupBenefitCache`, the
-code-space :class:`~repro.repair.similarity.SimilarityCache`, the
-suggestion engine's write-surviving decision memo and the columnar
-mirror. Each has a from-scratch reference (``group_updates``, the
-cache-free ``VOIEstimator.rank_groups``, the scalar Eq. 7, a fresh
-Algorithm 1 decision, a column re-encode); the guard turns those
-references into a *runtime* safety net:
+code-space :class:`~repro.repair.similarity.SimilarityCache` and the
+suggestion engine's write-surviving decision memo. Each has a
+from-scratch reference (``group_updates``, the cache-free
+``VOIEstimator.rank_groups``, the scalar Eq. 7, a fresh Algorithm 1
+decision); the guard turns those references into a *runtime* safety
+net:
 
 * every engine iteration calls :meth:`InvariantGuard.tick`; every
   *interval*-th tick runs one audit pass cross-checking each live
@@ -18,10 +18,10 @@ references into a *runtime* safety net:
   structures (``group_index``, ``benefit_cache``) the next group
   selection additionally ranks freshly built groups
   (*graceful degradation* — one slow step instead of a crash or a
-  silently wrong ranking); for ``sim_cache``, ``decision_memo`` and
-  ``columns`` the recovery action itself (clear / re-encode) already
-  restores correctness — later reads recompute from the reference —
-  so no degraded step is needed;
+  silently wrong ranking); for ``sim_cache`` and ``decision_memo``
+  the recovery action itself (a clear) already restores correctness —
+  later reads recompute from the reference — so no degraded step is
+  needed;
 * incidents beyond *max_incidents* escalate to
   :class:`~repro.errors.IntegrityError` — past that point the session
   keeps diverging faster than it can repair itself and hard failure is
@@ -45,7 +45,7 @@ from repro.repair.similarity import similarity
 __all__ = ["Incident", "InvariantGuard"]
 
 #: Components the guard audits, in audit order.
-COMPONENTS = ("group_index", "benefit_cache", "sim_cache", "decision_memo", "columns")
+COMPONENTS = ("group_index", "benefit_cache", "sim_cache", "decision_memo")
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,8 +107,8 @@ class InvariantGuard:
         Incident budget; exceeding it raises
         :class:`~repro.errors.IntegrityError`.
     sample:
-        How many sim-cache entries, decision-memo entries and tuples
-        the per-audit samples cover (full structures are still verified
+        How many sim-cache and decision-memo entries the per-audit
+        samples cover (full structures are still verified
         for the group index and benefit cache, whose references are
         cheap relative to their structures' sizes).
     """
@@ -125,7 +125,6 @@ class InvariantGuard:
         self._audits = 0
         self._degraded: set[str] = set()
         self._degraded_steps = 0
-        self._tuple_cursor = _Cursor()
         self._decision_cursor = _Cursor()
 
     # ------------------------------------------------------------------
@@ -147,8 +146,7 @@ class InvariantGuard:
         path (the rebuilt structure is trusted again afterwards).
         Only ``group_index`` and ``benefit_cache`` incidents set the
         flag — they are consumed by the engine's next group selection;
-        ``sim_cache``, ``decision_memo`` and ``columns`` recover fully
-        in place.
+        ``sim_cache`` and ``decision_memo`` recover fully in place.
         """
         if component in self._degraded:
             self._degraded.discard(component)
@@ -180,7 +178,6 @@ class InvariantGuard:
         found.extend(self._audit_benefit_cache())
         found.extend(self._audit_sim_cache())
         found.extend(self._audit_decision_memo())
-        found.extend(self._audit_columns())
         self.incidents.extend(found)
         if len(self.incidents) > self.max_incidents:
             raise IntegrityError(
@@ -194,10 +191,9 @@ class InvariantGuard:
         """Build one incident; optionally flag *component* for degradation.
 
         *degrade* is False for components whose recovery action alone
-        restores correctness (``sim_cache`` and ``decision_memo`` clear,
-        ``columns`` re-encode): nothing consumes a degraded flag for
-        them, so setting one would only linger and skew
-        ``degraded_steps``.
+        restores correctness (``sim_cache`` and ``decision_memo``
+        clear): nothing consumes a degraded flag for them, so setting
+        one would only linger and skew ``degraded_steps``.
         """
         incident = Incident(component=component, detail=detail, tick=self._ticks)
         if degrade:
@@ -297,31 +293,3 @@ class InvariantGuard:
                 generator.forget_decisions()
                 return [incident]
         return []
-
-    # -- columnar mirror -----------------------------------------------
-    def _audit_columns(self) -> list[Incident]:
-        db = self.engine.db
-        if db._columns is None:
-            return []  # mirror not built yet; nothing to diverge
-        columns = db.columns
-        tids = db.tids()
-        found: list[Incident] = []
-        for tid in self._tuple_cursor.take(tids, self.sample):
-            row = columns.position_of(tid)
-            truth = db.values_snapshot(tid)
-            for pos, expected in enumerate(truth):
-                decoded = columns.vocabulary(pos).decode(columns.code_at(row, pos))
-                if decoded != expected:
-                    found.append(
-                        self._record(
-                            "columns",
-                            f"columnar mirror holds {decoded!r} at "
-                            f"t{tid}.{db.schema.attributes[pos]}, row store "
-                            f"holds {expected!r}; cell re-encoded",
-                            degrade=False,
-                        )
-                    )
-                    columns.set_cell(tid, pos, expected)
-            if found:
-                break
-        return found

@@ -207,7 +207,10 @@ def corrupt_database(
             result.undetectable_dropped += 1
     if detector is not None:
         detector.detach()
-    return dirty, result
+    # re-encode the final rows in tid order, so the dirty instance's
+    # codes do not depend on the order the corruption wrote values in
+    rows, next_tid = dirty.export_rows()
+    return Database.from_rows(dirty.schema, rows, next_tid), result
 
 
 def _corrupt_tuple(

@@ -1,8 +1,8 @@
-"""Dictionary-encoded columnar mirror of a :class:`Database`.
+"""Dictionary-encoded column storage: the cells of a :class:`Database`.
 
-The paper runs violation statistics as MySQL triggers over B-tree
-indexed tables; our Python substrate instead keeps, next to the
-row-oriented tuple store, a columnar image of the relation:
+The paper keeps its relation in MySQL, with the violation statistics
+maintained by triggers over B-tree indexed tables. Here the relation
+lives in one place, a :class:`ColumnStore`:
 
 * per attribute, an append-only :class:`Vocabulary` assigning a dense
   integer *code* to every distinct value ever stored in that column;
@@ -13,10 +13,10 @@ row-oriented tuple store, a columnar image of the relation:
   position, and one int array indexed by tid holding each tuple's row
   position (``-1`` for ids never stored or deleted).
 
-Equality — the only predicate CFDs need — becomes integer comparison
-over contiguous arrays, so context masks, LHS partitions and RHS
-histograms vectorize with ``==``/``np.bincount``/``np.unique`` instead
-of per-tuple Python loops.
+Values decode on demand. Equality — the only predicate CFDs need —
+becomes integer comparison over contiguous arrays, so context masks,
+LHS partitions and RHS histograms vectorize with
+``==``/``np.bincount``/``np.unique`` instead of per-tuple Python loops.
 
 Two dictionary-encoding caveats worth knowing:
 
@@ -24,18 +24,19 @@ Two dictionary-encoding caveats worth knowing:
   value does **not** retire its code. ``values_at`` therefore decodes
   codes of *live* rows only and never leaks stale values;
 * code equality follows Python ``dict`` semantics (``1``, ``1.0`` and
-  ``True`` share a code), exactly matching the dict/set bookkeeping of
-  the reference violation path.
+  ``True`` share a code), so a stored value reads back as the first
+  value of its column it is ``==`` and hash-equal to.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from typing import cast
 
 import numpy as np
 
 from repro.db.schema import Schema
-from repro.errors import UnknownTupleError
+from repro.errors import SchemaError, UnknownTupleError
 
 __all__ = ["ColumnStore", "Vocabulary"]
 
@@ -87,6 +88,12 @@ class Vocabulary:
         values = self._values
         return [values[c] for c in codes]
 
+    def copy(self) -> "Vocabulary":
+        """An independent vocabulary assigning the same codes."""
+        copy = Vocabulary()
+        copy._code_of, copy._values = dict(self._code_of), list(self._values)
+        return copy
+
     def __len__(self) -> int:
         return len(self._values)
 
@@ -106,11 +113,11 @@ class ColumnStore:
         The relation schema (fixes the column count and order).
     items:
         Initial ``(tid, values)`` pairs; loaded in ascending tid order
-        so freshly built stores enumerate rows deterministically.
+        so freshly built stores assign codes deterministically.
 
     Notes
     -----
-    The store is maintained *by* :class:`~repro.db.database.Database`
+    The store is written *by* :class:`~repro.db.database.Database`
     (synchronously, before listeners fire), not via listener callbacks:
     consumers reading the columns from inside a listener always see the
     post-write image.
@@ -127,7 +134,7 @@ class ColumnStore:
         self._tids = np.empty(_MIN_CAPACITY, dtype=np.int64)
         self._pos_of = np.full(_MIN_CAPACITY, -1, dtype=np.int64)
         self._size = 0
-        for tid, values in sorted(items):
+        for tid, values in sorted(items, key=lambda item: item[0]):
             self.append(tid, values)
 
     # ------------------------------------------------------------------
@@ -143,15 +150,40 @@ class ColumnStore:
         tids[: self._size] = self._tids[: self._size]
         self._tids = tids
 
+    def require_hashable(self, tid: int, pos: int, value: object) -> None:
+        """Raise :class:`SchemaError` when *value* cannot be encoded."""
+        try:
+            hash(value)
+        except TypeError:
+            attribute = self.schema.attributes[pos]
+            raise SchemaError(
+                f"value {value!r} for attribute {attribute!r} of tuple {tid} is unhashable"
+            ) from None
+
     def append(self, tid: int, values: Sequence[object]) -> None:
-        """Encode and store one new tuple."""
+        """Encode and store one new tuple (:class:`SchemaError`, with the
+        store unmodified, for a wrong-length row or an unhashable value)."""
+        if len(values) != len(self._vocabs):
+            raise SchemaError(
+                f"row for tuple {tid} has {len(values)} values, "
+                f"schema {self.schema.name!r} expects {len(self._vocabs)}"
+            )
+        try:
+            # a lookup pass first: it raises before any vocabulary grows
+            codes = [vocab._code_of.get(value) for vocab, value in zip(self._vocabs, values)]
+        except TypeError:
+            for pos, value in enumerate(values):
+                self.require_hashable(tid, pos, value)
+            raise
+        if None in codes:
+            for pos, code in enumerate(codes):
+                if code is None:
+                    codes[pos] = self._vocabs[pos].encode(values[pos])
         if self._size == self._matrix.shape[1]:
             self._grow()
         row = self._size
         self._tids[row] = tid
-        matrix = self._matrix
-        for pos, value in enumerate(values):
-            matrix[pos, row] = self._vocabs[pos].encode(value)
+        self._matrix[:, row] = cast("list[int]", codes)
         if tid >= len(self._pos_of):
             pos_of = np.full(max(tid + 1, 2 * len(self._pos_of)), -1, dtype=np.int64)
             pos_of[: len(self._pos_of)] = self._pos_of
@@ -160,7 +192,7 @@ class ColumnStore:
         self._size += 1
 
     def set_cell(self, tid: int, pos: int, value: object) -> None:
-        """Re-encode one cell after a write."""
+        """Encode and store one cell after a write."""
         self._matrix[pos, self.position_of(tid)] = self._vocabs[pos].encode(value)
 
     def remove(self, tid: int) -> None:
@@ -174,6 +206,19 @@ class ColumnStore:
             self._matrix[:, row] = self._matrix[:, last]
             self._pos_of[moved_tid] = row
         self._size = last
+
+    def copy(self) -> "ColumnStore":
+        """An independent store with the same codes (whole vocabularies
+        copied), rows in tid order."""
+        order = self.tid_order()
+        copy = ColumnStore(self.schema)
+        copy._vocabs = [vocab.copy() for vocab in self._vocabs]
+        copy._matrix = self._matrix[:, order]  # capacity = size; appends grow it
+        copy._tids = self._tids[order]
+        copy._pos_of = np.full(len(self._pos_of), -1, dtype=np.int64)
+        copy._pos_of[copy._tids] = np.arange(len(order))
+        copy._size = len(order)
+        return copy
 
     # ------------------------------------------------------------------
     # reads
@@ -206,6 +251,23 @@ class ColumnStore:
         """Tuple ids by row position (a view; order is storage order)."""
         return self._tids[: self._size]
 
+    def tid_order(self) -> np.ndarray:
+        """Row positions sorted by tuple id."""
+        return np.argsort(self._tids[: self._size], kind="stable")
+
+    def value(self, tid: int, pos: int) -> object:
+        """The decoded value of tuple *tid* at column *pos*."""
+        return self._vocabs[pos]._values[self._matrix.item(pos, self.position_of(tid))]
+
+    def row_values(self, tid: int) -> tuple[object, ...]:
+        """Tuple *tid*'s decoded values, in schema order."""
+        codes = self._matrix[:, self.position_of(tid)].tolist()
+        return tuple([vocab._values[code] for vocab, code in zip(self._vocabs, codes)])
+
+    def column_values(self, pos: int, rows: np.ndarray) -> list[object]:
+        """Decoded values of column *pos* at storage *rows* (one gather)."""
+        return self._vocabs[pos].decode_many(self._matrix[pos, rows].tolist())
+
     def vocabulary(self, pos: int) -> Vocabulary:
         """The dictionary of column *pos*."""
         return self._vocabs[pos]
@@ -218,7 +280,7 @@ class ColumnStore:
         """Current row position of tuple *tid*."""
         if tid >= 0:
             try:
-                row = self._pos_of.item(tid)
+                row: int = self._pos_of.item(tid)
             except IndexError:
                 row = -1
             if row >= 0:
@@ -272,7 +334,8 @@ class ColumnStore:
         self, items: Iterable[tuple[int, object]], exclude_tid: int | None = None
     ) -> list[int]:
         """Tuple ids satisfying an equality conjunction."""
-        return self.tids()[self.match_mask(items, exclude_tid)].tolist()
+        tids: list[int] = self.tids()[self.match_mask(items, exclude_tid)].tolist()
+        return tids
 
     def match_mask_codes(self, items: Iterable[tuple[int, int]]) -> np.ndarray:
         """Boolean row mask for an equality conjunction over raw codes.

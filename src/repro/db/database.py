@@ -1,17 +1,16 @@
 """In-memory relational instance with cell-level update notifications.
 
 This module is the storage substrate the paper runs on top of MySQL;
-here it is a dict-backed tuple store with:
+here it is a dictionary-encoded code matrix
+(:class:`~repro.db.columnar.ColumnStore`, exposed as
+:attr:`Database.columns`) with:
 
 * stable integer tuple ids (``tid``);
-* cell-level reads/writes;
+* cell-level reads (decoded on demand) and writes;
 * listener hooks fired on every mutation (used by the violation
   detector, consistency manager, hash indexes and change log — the
   equivalent of the paper's database triggers);
-* a lazily built, incrementally maintained dictionary-encoded columnar
-  mirror (:attr:`Database.columns`) backing the vectorized violation
-  engine;
-* cheap snapshots for ground-truth comparisons.
+* cheap snapshots (a code-matrix copy) for ground-truth comparisons.
 """
 
 from __future__ import annotations
@@ -21,7 +20,8 @@ from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from repro.db.changelog import CellChange
 from repro.db.columnar import ColumnStore
 from repro.db.schema import Schema
-from repro.errors import SchemaError, UnknownTupleError
+from repro.db.snapshot import SnapshotView
+from repro.errors import SchemaError
 
 __all__ = ["Database", "Row"]
 
@@ -88,6 +88,11 @@ class Row:
 class Database:
     """A mutable single-relation instance.
 
+    Every cell is stored once, as a code in :attr:`columns`. Cell
+    values must be hashable; values of a column that are ``==`` and
+    hash-equal share a code and read back as the first one stored
+    (``1`` inserted after ``1.0`` reads ``1.0``).
+
     Parameters
     ----------
     schema:
@@ -103,6 +108,7 @@ class Database:
     >>> db.value(tid, "b")
     2
     >>> db.set_value(tid, "b", 3)
+    True
     >>> db.value(tid, "b")
     3
     """
@@ -113,20 +119,16 @@ class Database:
         rows: Iterable[Sequence[object] | Mapping[str, object]] | None = None,
     ) -> None:
         self.schema = schema
-        self._rows: dict[int, list[object]] = {}
+        self._columns = ColumnStore(schema)
         self._next_tid = 0
         self._listeners: list[Listener] = []
         self._write_hooks: list[WriteHook] = []
         self._change_seq = 0
         self._version = 0
-        self._columns: ColumnStore | None = None
         if rows is not None:
             for row in rows:
                 self.insert(row)
 
-    # ------------------------------------------------------------------
-    # columnar mirror
-    # ------------------------------------------------------------------
     @property
     def version(self) -> int:
         """Monotonic instance version: bumps on every insert/write/delete.
@@ -138,15 +140,12 @@ class Database:
 
     @property
     def columns(self) -> ColumnStore:
-        """The dictionary-encoded columnar image of this instance.
+        """The dictionary-encoded code matrix holding this instance.
 
-        Built lazily on first access, then maintained incrementally and
-        synchronously under every :meth:`insert`, :meth:`set_value` and
-        :meth:`delete` — a listener reading the columns always sees the
-        post-write state.
+        Written synchronously under every :meth:`insert`,
+        :meth:`set_value` and :meth:`delete` — a listener reading the
+        columns always sees the post-write state.
         """
-        if self._columns is None:
-            self._columns = ColumnStore(self.schema, self._rows.items())
         return self._columns
 
     # ------------------------------------------------------------------
@@ -190,13 +189,10 @@ class Database:
     # ------------------------------------------------------------------
     def insert(self, row: Sequence[object] | Mapping[str, object]) -> int:
         """Insert a row, returning its newly assigned tuple id."""
-        values = self._coerce_row(row)
         tid = self._next_tid
+        self._columns.append(tid, self._coerce_row(row))
         self._next_tid += 1
-        self._rows[tid] = values
         self._version += 1
-        if self._columns is not None:
-            self._columns.append(tid, values)
         return tid
 
     def _coerce_row(self, row: Sequence[object] | Mapping[str, object]) -> list[object]:
@@ -208,85 +204,52 @@ class Database:
             if extra:
                 raise SchemaError(f"row has unknown attributes {extra!r}")
             return [row[a] for a in self.schema.attributes]
-        values = list(row)
-        if len(values) != len(self.schema):
-            raise SchemaError(
-                f"row has {len(values)} values, schema {self.schema.name!r} "
-                f"expects {len(self.schema)}"
-            )
-        return values
+        return list(row)
 
     def delete(self, tid: int) -> None:
         """Remove the tuple with id *tid*."""
-        if tid not in self._rows:
-            raise UnknownTupleError(tid)
-        del self._rows[tid]
+        self._columns.remove(tid)
         self._version += 1
-        if self._columns is not None:
-            self._columns.remove(tid)
 
     # ------------------------------------------------------------------
     # access
     # ------------------------------------------------------------------
     def row(self, tid: int) -> Row:
         """Return a read-only view of tuple *tid*."""
-        try:
-            return Row(tid, self.schema, self._rows[tid])
-        except KeyError:
-            raise UnknownTupleError(tid) from None
+        return Row(tid, self.schema, self._columns.row_values(tid))
 
     def value(self, tid: int, attribute: str) -> object:
         """Return one cell value."""
-        pos = self.schema.position(attribute)
-        try:
-            return self._rows[tid][pos]
-        except KeyError:
-            raise UnknownTupleError(tid) from None
+        return self._columns.value(tid, self.schema.position(attribute))
 
     def values_snapshot(self, tid: int) -> tuple[object, ...]:
         """A detached copy of tuple *tid*'s values, in schema order."""
-        try:
-            return tuple(self._rows[tid])
-        except KeyError:
-            raise UnknownTupleError(tid) from None
-
-    def values_view(self, tid: int) -> Sequence[object]:
-        """Tuple *tid*'s live value list, in schema order — **read only**.
-
-        Unlike :meth:`values_snapshot` this does not copy; the returned
-        sequence aliases the stored row and mutates under later writes.
-        For hot paths (the violation detector's per-write maintenance)
-        that only read positionally and never retain the sequence.
-        """
-        try:
-            return self._rows[tid]
-        except KeyError:
-            raise UnknownTupleError(tid) from None
+        return self._columns.row_values(tid)
 
     def tids(self) -> list[int]:
         """All live tuple ids (ascending)."""
-        return sorted(self._rows)
+        return sorted(self._columns.tids().tolist())
 
     def rows(self) -> Iterator[Row]:
         """Iterate over all tuples as :class:`Row` views."""
-        for tid in sorted(self._rows):
-            yield Row(tid, self.schema, self._rows[tid])
+        for tid, values in self.export_rows()[0].items():
+            yield Row(tid, self.schema, values)
 
     def column(self, attribute: str) -> list[object]:
         """All values of one attribute, ordered by tuple id."""
-        pos = self.schema.position(attribute)
-        return [self._rows[tid][pos] for tid in sorted(self._rows)]
+        store = self._columns
+        return store.column_values(self.schema.position(attribute), store.tid_order())
 
     def domain(self, attribute: str) -> set[object]:
         """The active domain of *attribute* (distinct current values)."""
         pos = self.schema.position(attribute)
-        return {values[pos] for values in self._rows.values()}
+        return set(self._columns.vocabulary(pos).decode_many(set(self._columns.codes(pos).tolist())))
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self._columns)
 
     def __contains__(self, tid: object) -> bool:
-        return tid in self._rows
+        return tid in self._columns
 
     def __iter__(self) -> Iterator[Row]:
         return self.rows()
@@ -298,22 +261,20 @@ class Database:
         """Write one cell, notifying listeners.
 
         Returns ``True`` if the value actually changed, ``False`` if the
-        write was a no-op (listeners are not fired for no-ops).
+        write was a no-op (listeners are not fired for no-ops). An
+        unhashable *value* raises :class:`SchemaError` with the instance
+        unmodified.
         """
         pos = self.schema.position(attribute)
-        try:
-            values = self._rows[tid]
-        except KeyError:
-            raise UnknownTupleError(tid) from None
-        old = values[pos]
+        store = self._columns
+        old = store.value(tid, pos)
         if old == value:
             return False
+        store.require_hashable(tid, pos, value)
         for hook in self._write_hooks:
             hook(tid, attribute, old, value, source)
-        values[pos] = value
+        store.set_cell(tid, pos, value)
         self._version += 1
-        if self._columns is not None:
-            self._columns.set_cell(tid, pos, value)
         self._change_seq += 1
         self._notify(CellChange(self._change_seq, tid, attribute, old, value, source))
         return True
@@ -321,7 +282,7 @@ class Database:
     # ------------------------------------------------------------------
     # copies and comparisons
     # ------------------------------------------------------------------
-    def snapshot_view(self):
+    def snapshot_view(self) -> SnapshotView:
         """A copy-on-write read view pinned at the current version.
 
         Rows are copied lazily — on first read through the view, or on
@@ -330,26 +291,21 @@ class Database:
         view must be released (it is a context manager) to stop
         pinning. See :class:`repro.db.snapshot.SnapshotView`.
         """
-        from repro.db.snapshot import SnapshotView
-
         return SnapshotView(self)
 
     def snapshot(self) -> "Database":
-        """A deep copy with the same tids and no listeners attached."""
+        """A deep copy with the same tids, same codes and no listeners."""
         copy = Database(self.schema)
-        copy._rows = {tid: list(values) for tid, values in self._rows.items()}
+        copy._columns = self._columns.copy()
         copy._next_tid = self._next_tid
         return copy
 
     def export_rows(self) -> tuple[dict[int, list[object]], int]:
-        """The live ``(rows by tid, next tid)``, for checkpoints.
-
-        Not a copy: the caller must serialise or copy the rows before
-        the next write and must not mutate them. A checkpoint pickles
-        them at once, so copying first would only add a transient
-        second image of the instance to the session's peak memory.
-        """
-        return (self._rows, self._next_tid)
+        """The decoded ``(rows by tid, next tid)``, for checkpoints."""
+        store = self._columns
+        order = store.tid_order()
+        columns = [store.column_values(pos, order) for pos in range(len(self.schema))]
+        return dict(zip(store.tids()[order].tolist(), map(list, zip(*columns)))), self._next_tid
 
     @classmethod
     def from_rows(
@@ -362,13 +318,21 @@ class Database:
 
         Unlike :meth:`insert`, the given tids are kept verbatim, so a
         restored instance is id-compatible with journals and repair
-        state recorded against the original.
+        state recorded against the original. Rows are encoded in tid
+        order. Raises :class:`SchemaError` for a negative tid, a row of
+        the wrong length, or a *next_tid* that does not exceed every
+        given tid (a later :meth:`insert` would overwrite a stored tuple).
         """
+        top = max(rows, default=-1)
+        if next_tid is None:
+            next_tid = top + 1
+        elif next_tid <= top:
+            raise SchemaError(f"next tid {next_tid} does not exceed the largest tid {top}")
+        if min(rows, default=0) < 0:
+            raise SchemaError(f"tuple id {min(rows)} is negative")
         db = cls(schema)
-        db._rows = {tid: list(values) for tid, values in rows.items()}
-        db._next_tid = (
-            next_tid if next_tid is not None else max(rows, default=-1) + 1
-        )
+        db._columns = ColumnStore(schema, rows.items())
+        db._next_tid = next_tid
         return db
 
     def diff_cells(self, other: "Database") -> list[tuple[int, str]]:
@@ -379,17 +343,15 @@ class Database:
         """
         if self.schema != other.schema:
             raise SchemaError("cannot diff databases with different schemas")
+        mine, theirs = self.export_rows()[0], other.export_rows()[0]
         diffs: list[tuple[int, str]] = []
-        all_tids = set(self._rows) | set(other._rows)
-        for tid in sorted(all_tids):
-            mine = self._rows.get(tid)
-            theirs = other._rows.get(tid)
-            if mine is None or theirs is None:
-                diffs.extend((tid, attr) for attr in self.schema.attributes)
-                continue
-            for pos, attr in enumerate(self.schema.attributes):
-                if mine[pos] != theirs[pos]:
-                    diffs.append((tid, attr))
+        for tid in sorted(mine.keys() | theirs.keys()):
+            a, b = mine.get(tid), theirs.get(tid)
+            diffs.extend(
+                (tid, attr)
+                for pos, attr in enumerate(self.schema.attributes)
+                if a is None or b is None or a[pos] != b[pos]
+            )
         return diffs
 
     def equals_data(self, other: "Database") -> bool:

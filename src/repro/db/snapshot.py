@@ -54,6 +54,7 @@ class SnapshotView:
     >>> with db.snapshot_view() as view:
     ...     db.set_value(0, "a", "y")
     ...     view.values_snapshot(0)
+    True
     ('x',)
     >>> db.value(0, "a")
     'y'
@@ -92,7 +93,7 @@ class SnapshotView:
         # undoing the one cell the change record describes. Any earlier
         # write to this tuple during the view's lifetime would already
         # have pinned it, so exactly one cell differs from the snapshot.
-        values = list(self._db.values_view(change.tid))
+        values = list(self._db.values_snapshot(change.tid))
         values[self._db.schema.position(change.attribute)] = change.old
         self._rows[change.tid] = tuple(values)
 
@@ -128,7 +129,7 @@ class SnapshotView:
     def __enter__(self) -> "SnapshotView":
         return self
 
-    def __exit__(self, *exc_info) -> None:
+    def __exit__(self, *exc_info: object) -> None:
         self.release()
 
     def __repr__(self) -> str:

@@ -132,7 +132,7 @@ class ConsistencyManager:
     def _on_external_change(self, change: CellChange) -> None:
         if self._suspend_trigger:
             return
-        # the database updates its columnar mirror synchronously inside
+        # the database writes its code matrix synchronously inside
         # set_value, before listeners fire, so regeneration below always
         # sees the post-write instance
         self._revisit_after_write(change.tid, change.attribute)

@@ -1,6 +1,7 @@
 """Tests for GDREngine.checkpoint / restore / resume (durable sessions)."""
 
 import pickle
+import re
 from dataclasses import asdict
 
 import pytest
@@ -170,6 +171,27 @@ class TestRestoreErrors:
         engine = make_engine(figure1_dirty, figure1_clean, figure1_rules, tmp_path)
         with pytest.raises(ConfigError, match="restore"):
             engine.resume()
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda p: p.update(next_tid=max(p["rows"])), "next tid"),
+            (lambda p: p["initial_rows"][0].pop(), "row for tuple 0 has"),
+        ],
+        ids=["next-tid-not-past-rows", "short-row"],
+    )
+    def test_invalid_instance_fails_with_config_error(
+        self, corrupt, message, figure1_dirty, figure1_clean, figure1_rules, tmp_path
+    ):
+        engine = make_engine(figure1_dirty, figure1_clean, figure1_rules, tmp_path)
+        cp = tmp_path / "session.cp"
+        engine.checkpoint(cp)
+        payload = pickle.loads(cp.read_bytes())
+        corrupt(payload)
+        cp.write_bytes(pickle.dumps(payload))
+        expected = re.escape(f"checkpoint {cp} holds an invalid instance: {message}")
+        with pytest.raises(ConfigError, match=expected):
+            GDREngine.restore(cp, figure1_rules, GroundTruthOracle(figure1_clean))
 
 
 class TestOldSessionFiles:

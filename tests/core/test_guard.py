@@ -79,16 +79,6 @@ class TestAudits:
         assert [i.component for i in incidents] == ["sim_cache"]
         assert len(guarded.sim_cache) == 0
 
-    def test_columnar_corruption_detected_and_reencoded(self, guarded):
-        columns = guarded.db.columns  # force the mirror to exist
-        columns.set_cell(0, 3, "CORRUPTED-CITY")
-        incidents = guarded.guard.audit()
-        assert [i.component for i in incidents] == ["columns"]
-        row = columns.position_of(0)
-        assert columns.vocabulary(3).decode(columns.code_at(row, 3)) == (
-            guarded.db.value(0, "city")
-        )
-
     def test_decision_memo_corruption_detected_and_cleared(self, guarded):
         from repro.repair.generator import _pack
 
@@ -114,15 +104,13 @@ class TestAudits:
         assert guard.audit() == []
 
     def test_in_place_recoveries_do_not_degrade(self, guarded):
-        # sim_cache and columns recover fully in place (clear /
-        # re-encode); no consumer exists for a degraded flag, so none
-        # is set and degraded_steps stays honest
+        # sim_cache recovers fully in place (a clear); no consumer
+        # exists for a degraded flag, so none is set and degraded_steps
+        # stays honest
         guarded.sim_cache._strs[("Westville", "Westvile")] = 0.001
-        guarded.db.columns.set_cell(0, 3, "CORRUPTED-CITY")
         incidents = guarded.guard.audit()
-        assert {i.component for i in incidents} == {"sim_cache", "columns"}
+        assert {i.component for i in incidents} == {"sim_cache"}
         assert not guarded.guard.consume_degraded("sim_cache")
-        assert not guarded.guard.consume_degraded("columns")
         assert guarded.guard.stats["degraded_steps"] == 0
 
     def test_tick_audits_on_interval(self, guarded):
@@ -136,8 +124,8 @@ class TestAudits:
         guard = InvariantGuard(guarded, interval=1, max_incidents=1)
         guarded.sim_cache._strs[("a", "b")] = 0.9
         guard.audit()  # first incident fits the budget
-        guarded.sim_cache._strs[("a", "b")] = 0.9
-        guarded.db.columns.set_cell(0, 0, "XX")
+        bucket = next(iter(guarded.group_index._members.values()))
+        bucket.pop(next(iter(bucket)))  # the second comes from the group index
         with pytest.raises(IntegrityError, match="incidents"):
             guard.audit()
 
@@ -147,7 +135,6 @@ class TestAudits:
             "benefit_cache",
             "sim_cache",
             "decision_memo",
-            "columns",
         )
 
 

@@ -1,4 +1,4 @@
-"""Tests for the dictionary-encoded columnar mirror."""
+"""Tests for the dictionary-encoded column storage of a database."""
 
 import numpy as np
 import pytest
@@ -41,8 +41,9 @@ class TestVocabulary:
 
 
 class TestColumnStoreBuild:
-    def test_lazy_build_matches_rows(self, db):
-        cols = db.columns
+    def test_store_built_at_construction_matches_rows(self, db):
+        cols = db._columns
+        assert cols is not None and db.columns is cols
         assert len(cols) == 4
         decoded = [
             [cols.vocabulary(p).decode(cols.code_at(cols.position_of(tid), p)) for p in range(2)]
@@ -56,11 +57,25 @@ class TestColumnStoreBuild:
         decoded = cols.vocabulary(0).decode_many(cols.codes(0)[order].tolist())
         assert decoded == db.column("a")
 
-    def test_snapshot_gets_fresh_lazy_store(self, db):
-        db.columns  # force build on the original
+    def test_snapshot_copies_store_with_same_codes(self, db):
+        db.set_value(3, "a", "w")  # grows the vocabulary past a fresh encode
+        db.delete(1)  # swap-remove: storage order is no longer tid order
         copy = db.snapshot()
-        assert copy._columns is None
+        assert copy.columns is not db.columns
         assert len(copy.columns) == len(db)
+        cols, copied = db.columns, copy.columns
+        assert copied.tids().tolist() == db.tids()  # rows in tid order
+        for pos in range(2):
+            assert copied.vocabulary(pos).decode_many(range(len(copied.vocabulary(pos)))) == (
+                cols.vocabulary(pos).decode_many(range(len(cols.vocabulary(pos))))
+            )
+            for tid in db.tids():
+                assert copied.code_at(copied.position_of(tid), pos) == cols.code_at(
+                    cols.position_of(tid), pos
+                )
+        copy.set_value(0, "a", "only-in-copy")
+        assert "only-in-copy" not in cols.vocabulary(0)
+        assert db.value(0, "a") == "x"
 
 
 class TestColumnStoreMaintenance:
@@ -110,7 +125,6 @@ class TestColumnStoreMaintenance:
     def test_growth_beyond_initial_capacity(self):
         db = Database(Schema("r", ["a"]))
         for i in range(100):
-            db.columns  # keep the store live from the start
             db.insert([i])
         assert len(db.columns) == 100
         assert db.columns.vocabulary(0).decode(db.columns.code_at(db.columns.position_of(99), 0)) == 99

@@ -186,3 +186,42 @@ class TestRow:
 
     def test_row_values_tuple(self, db):
         assert db.row(1).values == ("y", 2)
+
+
+class TestStorageContract:
+    def test_hash_equal_value_reads_back_as_first_stored(self):
+        db = Database(Schema("r", ["a"]), [[1.0]])
+        tid = db.insert([1])
+        assert type(db.value(tid, "a")) is float  # the column's first-stored 1.0
+        assert db.values_snapshot(tid) == (1.0,)
+        assert db.set_value(tid, "a", True) is False  # == and hash-equal: no-op
+
+    def test_unhashable_insert_raises_schema_error_unmodified(self, db):
+        version = db.version
+        vocab_sizes = [len(db.columns.vocabulary(p)) for p in range(2)]
+        with pytest.raises(SchemaError, match=r"'b' of tuple 2 is unhashable"):
+            db.insert(["new-value", ["not", "hashable"]])
+        assert len(db) == 2 and db.version == version
+        assert [len(db.columns.vocabulary(p)) for p in range(2)] == vocab_sizes
+        assert db.insert(["z", 3]) == 2  # the failed insert consumed no tid
+
+    def test_unhashable_write_raises_schema_error_unmodified(self, db):
+        events, hooked = [], []
+        db.add_listener(events.append)
+        db.add_write_hook(lambda *args: hooked.append(args))
+        version = db.version
+        with pytest.raises(SchemaError, match=r"'a' of tuple 1 is unhashable"):
+            db.set_value(1, "a", {"x": 1})
+        assert db.value(1, "a") == "y" and db.version == version
+        assert events == [] and hooked == []
+
+    def test_from_rows_rejects_next_tid_not_past_largest_tid(self):
+        schema = Schema("r", ["a"])
+        with pytest.raises(SchemaError, match="next tid 1"):
+            Database.from_rows(schema, {0: ["p"], 1: ["q"]}, next_tid=1)
+        db = Database.from_rows(schema, {0: ["p"], 1: ["q"]}, next_tid=2)
+        assert db.insert(["r"]) == 2
+
+    def test_from_rows_rejects_wrong_row_length(self):
+        with pytest.raises(SchemaError, match="row for tuple 1 has 1 values"):
+            Database.from_rows(Schema("r", ["a", "b"]), {0: ["p", 1], 1: ["q"]})
