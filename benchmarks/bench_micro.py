@@ -16,6 +16,8 @@ import numpy as np
 import pytest
 
 from repro.constraints import ViolationDetector, mine_constant_cfds
+from repro.core import VOIEstimator
+from repro.datasets import load_dataset
 from repro.ml import HistogramForestClassifier, RandomForestClassifier
 from repro.repair import RepairState, UpdateGenerator, levenshtein
 from repro.repair.similarity import SimilarityCache, levenshtein_many
@@ -129,6 +131,62 @@ def test_generator_initial_pass(benchmark, hospital_bench_dataset):
 
     produced = benchmark(generate)
     assert produced > 0
+
+
+def test_key_refresh(benchmark):
+    """One Eq. 6 key-table refresh after a burst of writes.
+
+    The key table of an adult n=2000 instance holds the probe keys of
+    every suggested update outside 20 rows. Each round first writes
+    those rows' ``marital_status`` cells (the RHS of the variable rule
+    ``relationship -> marital_status``), then times the ``benefits``
+    call that re-probes the keys whose partitions moved. Afterwards
+    every key holds exactly the terms of a fresh probe.
+    """
+    ds = load_dataset("adult", n=2000, seed=0)
+    db = ds.fresh_dirty()
+    detector = ViolationDetector(db, ds.rules)
+    state = RepairState()
+    generator = UpdateGenerator(db, ds.rules, detector, state)
+    generator.generate_all()
+    generator.detach()
+    # the burst writes rows whose updates are not scored, so every
+    # scored key id stays valid
+    tids = db.tids()[:20]
+    written = set(tids)
+    updates = [update for update in state.updates() if update.tid not in written]
+    cache = VOIEstimator(detector).deltas
+    ids = cache.resolve([(updates, None)])[0]
+    probabilities = np.full(len(updates), 0.5)
+    weights = detector.weights()
+    cache.benefits(ids, updates, probabilities, weights)  # first probe of every key
+    domain = sorted(db.domain("marital_status"), key=str)
+    rounds = iter(range(1 << 30))
+
+    def burst():
+        shift = next(rounds)
+        for i, tid in enumerate(tids):
+            db.set_value(tid, "marital_status", domain[(i + shift) % len(domain)])
+
+    benchmark.pedantic(
+        cache.benefits, args=(ids, updates, probabilities, weights), setup=burst, rounds=20
+    )
+    assert cache.reprobes["moved"] > 0
+    rules, __, satisfying = detector.rule_counts()
+    index = {rule: i for i, rule in enumerate(rules)}
+    for key_id, update in dict(zip(ids.tolist(), updates)).items():
+        pairs = detector.what_if_moved_many(update.tid, update.attribute, [update.value])[0]
+        fresh = [
+            (index[rule], o.vio_reduction, o.satisfying_after - int(satisfying[index[rule]]))
+            for rule, o in pairs
+        ]
+        count = int(cache._count[key_id])
+        stored = zip(
+            cache._rule[key_id, :count].tolist(),
+            cache._reduction[key_id, :count].tolist(),
+            cache._delta[key_id, :count].tolist(),
+        )
+        assert list(stored) == fresh
 
 
 def test_levenshtein_speed(benchmark):

@@ -79,7 +79,9 @@ def _probe_batch(db, seed: int = 17):
         tid = tids[int(rng.integers(0, len(tids)))]
         attr = attrs[int(rng.integers(0, len(attrs)))]
         pos = db.schema.position(attr)
-        dom = db.columns.values_at(pos, np.ones(len(db.columns), dtype=bool))
+        cols = db.columns
+        codes = cols.codes_at(pos, np.ones(len(cols), dtype=bool))
+        dom = cols.vocabulary(pos).decode_many(codes.tolist())
         step = max(1, len(dom) // PROBE_CANDIDATES)
         cells.append((tid, attr, [dom[i * step % len(dom)] for i in range(PROBE_CANDIDATES)]))
     return cells

@@ -764,22 +764,42 @@ class _Group:
 
 
 class _PartitionClock:
-    """Detector-wide tick stamping variable-rule partition movements."""
+    """Detector-wide partition ids and the tick stamping their movements.
 
-    __slots__ = ("tick",)
+    Every variable-rule partition a what-if probe reads or a write
+    touches gets a small int id; ``versions[id]`` is the tick of the
+    partition's last incremental change (0: unchanged since the last
+    full build). Id 0 is a sentinel no partition carries, so its
+    version never moves. Ids are handed out afresh after a full build.
+    """
+
+    __slots__ = ("tick", "versions", "size")
 
     def __init__(self) -> None:
         self.tick = 0
+        self.versions = np.zeros(64, dtype=np.int64)
+        self.size = 1
+
+    def allocate(self) -> int:
+        pid = self.size
+        if pid == len(self.versions):
+            self.versions = np.concatenate((self.versions, np.zeros_like(self.versions)))
+        self.size = pid + 1
+        return pid
+
+    def reset(self) -> None:
+        self.versions[: self.size] = 0
+        self.size = 1
 
 
 class _VariableRuleState:
     """Violation bookkeeping for one variable CFD.
 
-    ``part_versions`` maps a partition key to the :class:`_PartitionClock`
-    tick of its last incremental change (absent: unchanged since the
-    last full build). A cached what-if outcome that read a partition is
-    current exactly while the partition's version is no newer than the
-    tick the outcome was computed at.
+    ``_pids`` maps each partition key a probe read or a write touched
+    to its :class:`_PartitionClock` id; a write stamps the id's version
+    with the clock's tick. A cached what-if outcome that read a
+    partition is current exactly while the partition's version is no
+    newer than the tick the outcome was computed at.
     """
 
     __slots__ = (
@@ -793,7 +813,7 @@ class _VariableRuleState:
         "_key_idx_of",
         "groups",
         "membership",
-        "part_versions",
+        "_pids",
         "total_vio",
         "violating",
         "context_size",
@@ -820,7 +840,7 @@ class _VariableRuleState:
         self._key_idx_of = {p: i for i, p in enumerate(self._lhs_pos)}
         self.groups: dict[tuple[object, ...], _Group] = {}
         self.membership: dict[int, tuple[tuple[object, ...], object]] = {}
-        self.part_versions: dict[tuple[object, ...], int] = {}
+        self._pids: dict[tuple[object, ...], int] = {}
         self.total_vio = 0
         self.violating: set[int] = set()
         self.context_size = 0
@@ -828,7 +848,7 @@ class _VariableRuleState:
     def reset(self) -> None:
         self.groups.clear()
         self.membership.clear()
-        self.part_versions.clear()
+        self._pids.clear()
         self.violating.clear()
         self.total_vio = 0
         self.context_size = 0
@@ -853,10 +873,17 @@ class _VariableRuleState:
             self._tracker.decrement(tid, self.bit)
 
     # -- incremental core ------------------------------------------------
+    def _pid(self, key: tuple[object, ...]) -> int:
+        pid = self._pids.get(key)
+        if pid is None:
+            pid = self._pids[key] = self._clock.allocate()
+        return pid
+
     def _touch(self, key: tuple[object, ...]) -> None:
+        pid = self._pid(key)  # may grow the versions array
         clock = self._clock
         clock.tick += 1
-        self.part_versions[key] = clock.tick
+        clock.versions[pid] = clock.tick
 
     def _remove(self, tid: int) -> None:
         key, value = self.membership.pop(tid)
@@ -1079,7 +1106,7 @@ class _VariableRuleState:
         every candidate is then an O(1) read of the partition statistics
         ("one pass over partition stats" — no apply/revert cycles, no
         state mutation). With a *reads* list, one tuple per candidate is
-        appended naming the partition keys its outcome's
+        appended holding the ids of the partitions its outcome's
         ``vio_reduction`` and satisfying-count delta depend on.
         """
         vio_before = self.total_vio
@@ -1124,7 +1151,7 @@ class _VariableRuleState:
         is_rhs = pos == self._rhs_pos
         rhs_current = row[self._rhs_pos]
 
-        lifted = (key0,) if entry is not None else ()
+        lifted = (self._pid(key0),) if entry is not None and reads is not None else ()
         outcomes = []
         for value in candidates:
             if value == current:
@@ -1147,7 +1174,7 @@ class _VariableRuleState:
             else:
                 new_key = base_key[:key_idx] + (value,) + base_key[key_idx + 1 :]
             if reads is not None:
-                reads.append(lifted if new_key == key0 else lifted + (new_key,))
+                reads.append(lifted if new_key == key0 else lifted + (self._pid(new_key),))
             new_val = value if is_rhs else rhs_current
             if entry is not None and new_key == key0:
                 # re-entering the partition the tuple was lifted from
@@ -1229,6 +1256,7 @@ class ViolationDetector:
                 list[CFD],
                 dict[CFD, int],
                 np.ndarray,
+                np.ndarray,
             ],
         ] = {}
         self._states: list[_ConstantRuleState | _VariableRuleState] = []
@@ -1269,6 +1297,7 @@ class ViolationDetector:
         self._epoch += 1
         self._rebuild_epoch += 1
         self._bump_all_versions()
+        self._partition_clock.reset()
         for state in self._states:
             state.reset()
         if build == "columnar":
@@ -1347,20 +1376,21 @@ class ViolationDetector:
 
     @property
     def partition_tick(self) -> int:
-        """Current variable-rule partition clock (see :meth:`partitions_moved`)."""
+        """Current variable-rule partition clock: an outcome computed at
+        this tick stays current while every partition it read has a
+        :attr:`partition_versions` entry no greater than the tick."""
         return self._partition_clock.tick
 
-    @staticmethod
-    def partitions_moved(reads, tick: int) -> bool:
-        """True when a partition in *reads* changed after clock *tick*.
+    @property
+    def partition_versions(self) -> np.ndarray:
+        """Per partition id (the ``reads`` of :meth:`what_if_moved_many`),
+        the :attr:`partition_tick` of the partition's last change.
 
-        *reads* is one candidate's entry of the ``reads`` list filled by
-        :meth:`what_if_moved_many`.
+        An ``int64`` array to index with ids, read afresh per use (it is
+        replaced when it grows). Id 0 is a sentinel that never moves, for
+        padding. Ids stay valid until :attr:`rebuild_epoch` moves.
         """
-        for versions, key in reads:
-            if versions.get(key, 0) > tick:
-                return True
-        return False
+        return self._partition_clock.versions
 
     def rule_counts(self) -> tuple[list[CFD], np.ndarray, np.ndarray]:
         """Every rule (in rule-set order) with its ``|D(φ)|`` and
@@ -1602,7 +1632,7 @@ class ViolationDetector:
         if not states:
             return [{} for __ in values]
         pos = self.db.schema.position(attribute)
-        plan, var_states, rules_all, rule_index, __ = self._plan_for(attribute, pos)
+        plan, var_states, rules_all, rule_index, __, __ = self._plan_for(attribute, pos)
         if plan is not None:
             plan.refresh(self._epoch)
             const_rows = plan.outcomes_many(tid, values)
@@ -1643,62 +1673,91 @@ class ViolationDetector:
         out of forty).
 
         With a *reads* list, one entry per candidate is appended: the
-        ``(partition versions, partition key)`` pairs of every variable
-        rule partition the candidate's outcomes depend on (constant-rule
-        outcomes depend on the row's codes alone).
-        :meth:`partitions_moved` tells whether an outcome is still
-        current; :meth:`rebuild_epoch` retires all of them.
+        ids of every variable-rule partition the candidate's outcomes
+        depend on (constant-rule outcomes depend on the row's codes
+        alone). An outcome computed at :attr:`partition_tick` ``k`` is
+        current while no id it read has a :attr:`partition_versions`
+        entry above ``k``; :attr:`rebuild_epoch` retires all of them.
         """
-        values = list(values)
-        states = self._states_by_attr.get(attribute)
-        if not states:
-            if reads is not None:
-                reads.extend(() for __ in values)
-            return [[] for __ in values]
-        pos = self.db.schema.position(attribute)
-        plan, var_states, __, __, __ = self._plan_for(attribute, pos)
-        if plan is not None:
-            plan.refresh(self._epoch)
-            const_rows = plan.moved_many(tid, values)
-            rules = plan.rules
-            results = [
-                [(rules[i], outcome) for i, outcome in moved] for moved in const_rows
-            ]
-        else:
-            results = [[] for __ in values]
-        if not var_states:
-            if reads is not None:
-                reads.extend(() for __ in values)
-            return results
-        row = self.db.values_snapshot(tid)
-        current = row[pos]
-        candidate_reads = [[] for __ in values] if reads is not None else None
-        for state in var_states:
-            rule = state.rule
-            state_reads = [] if candidate_reads is not None else None
-            outcomes = state.what_if_many(tid, row, pos, current, values, state_reads)
-            for ci, outcome in enumerate(outcomes):
-                if outcome[3] != 0:  # vio_reduction
-                    results[ci].append((rule, outcome))
-            if candidate_reads is not None:
-                versions = state.part_versions
-                for out, keys in zip(candidate_reads, state_reads):
-                    out.extend((versions, key) for key in keys)
+        cell_reads: list | None = [] if reads is not None else None
+        rows = self.what_if_moved_many_cells([(tid, attribute, values)], cell_reads)[0]
         if reads is not None:
-            reads.extend(candidate_reads)
-        return results
+            reads.extend(cell_reads[0])
+        return rows
 
-    def what_if_moved_many_cells(self, cells):
+    def what_if_moved_many_cells(
+        self, cells, reads: list | None = None, variable_only: bool = False
+    ):
         """Batched :meth:`what_if_moved_many` over many cells.
 
         *cells* is a sequence of ``(tid, attribute, values)`` probes;
         the result list is aligned with it, so a caller scoring many
-        cells makes one call instead of one per cell.
+        cells makes one call instead of one per cell. The variable-rule
+        states of each attribute read the probed tuples through one
+        gather of their codes, decoding only the columns they inspect.
+        With a *reads* list, one entry per cell is appended: the
+        per-candidate partition ids :meth:`what_if_moved_many` reports.
+        ``variable_only=True`` leaves the constant-rule pairs out — they
+        are a pure function of the probed codes, so a caller holding
+        them re-probes only the variable rules after partitions moved.
         """
-        return [
-            self.what_if_moved_many(tid, attribute, values)
-            for tid, attribute, values in cells
-        ]
+        cells = [(tid, attribute, list(values)) for tid, attribute, values in cells]
+        results: list = [None] * len(cells)
+        cell_reads: list = [None] * len(cells)
+        by_attribute: dict[str, list[int]] = {}
+        for i, (__, attribute, __) in enumerate(cells):
+            by_attribute.setdefault(attribute, []).append(i)
+        cols = self.db.columns
+        for attribute, indices in by_attribute.items():
+            states = self._states_by_attr.get(attribute)
+            plan = None
+            var_states: list[_VariableRuleState] = []
+            if states:
+                pos = self.db.schema.position(attribute)
+                plan, var_states, __, __, __, var_cols = self._plan_for(attribute, pos)
+            if plan is not None and not variable_only:
+                plan.refresh(self._epoch)
+                rules = plan.rules
+                for i in indices:
+                    tid, __, values = cells[i]
+                    results[i] = [
+                        [(rules[k], outcome) for k, outcome in moved]
+                        for moved in plan.moved_many(tid, values)
+                    ]
+            else:
+                for i in indices:
+                    results[i] = [[] for __ in cells[i][2]]
+            if not var_states:
+                for i in indices:
+                    cell_reads[i] = [() for __ in cells[i][2]]
+                continue
+            positions = var_cols.tolist()
+            block = cols.gather(var_cols, cols.positions_of([cells[i][0] for i in indices]))
+            decoded = [
+                cols.vocabulary(p).decode_many(codes)
+                for p, codes in zip(positions, block.tolist())
+            ]
+            for i, row_values in zip(indices, zip(*decoded)):
+                tid, __, values = cells[i]
+                # the variable states index the row by schema position
+                row = dict(zip(positions, row_values))
+                current = row[pos]
+                rows = results[i]
+                candidate_reads = [[] for __ in values] if reads is not None else None
+                for state in var_states:
+                    rule = state.rule
+                    state_reads: list | None = [] if candidate_reads is not None else None
+                    outcomes = state.what_if_many(tid, row, pos, current, values, state_reads)
+                    for ci, outcome in enumerate(outcomes):
+                        if outcome[3] != 0:  # vio_reduction
+                            rows[ci].append((rule, outcome))
+                    if candidate_reads is not None:
+                        for out, pids in zip(candidate_reads, state_reads):
+                            out.extend(pids)
+                cell_reads[i] = candidate_reads
+        if reads is not None:
+            reads.extend(cell_reads)
+        return results
 
     def probe_signature(self, tid: int, attribute: str) -> bytes:
         """Codes of everything a what-if probe on ``⟨tid, attribute⟩`` reads.
@@ -1728,7 +1787,7 @@ class ViolationDetector:
                 self._sig_cache_hits += 1
                 return cached
         self._sig_cache_misses += 1
-        __, __, __, __, probe_cols = self._plan_for(
+        __, __, __, __, probe_cols, __ = self._plan_for(
             attribute, self.db.schema.position(attribute)
         )
         signature = self.db.columns.gather_row(tid, probe_cols).tobytes()
@@ -1744,7 +1803,7 @@ class ViolationDetector:
         """
         if attribute not in self._states_by_attr:
             return [b""] * len(tids)
-        __, __, __, __, probe_cols = self._plan_for(
+        __, __, __, __, probe_cols, __ = self._plan_for(
             attribute, self.db.schema.position(attribute)
         )
         cols = self.db.columns
@@ -1762,10 +1821,12 @@ class ViolationDetector:
         list[CFD],
         dict[CFD, int],
         np.ndarray,
+        np.ndarray,
     ]:
-        """The attribute's probe plan, variable states, rule order, and
-        the union of column positions any probe on the attribute reads
-        (the :meth:`probe_signature` gather index)."""
+        """The attribute's probe plan, variable states, rule order, the
+        union of column positions any probe on the attribute reads (the
+        :meth:`probe_signature` gather index), and the positions its
+        variable states read (the probed column, LHS and RHS)."""
         entry = self._probe_plans.get(attribute)
         if entry is None:
             states = self._states_by_attr[attribute]
@@ -1782,12 +1843,17 @@ class ViolationDetector:
             probe_cols: set[int] = {pos}
             for state in states:
                 probe_cols.update(schema.position(a) for a in state.rule.attributes)
+            var_cols: set[int] = {pos}
+            for state in var_states:
+                var_cols.update(state._lhs_pos)
+                var_cols.add(state._rhs_pos)
             entry = (
                 plan,
                 var_states,
                 rules_all,
                 rule_index,
                 np.array(sorted(probe_cols), dtype=np.int64),
+                np.array(sorted(var_cols), dtype=np.int64),
             )
             self._probe_plans[attribute] = entry
         return entry

@@ -85,6 +85,17 @@ def _benefit_from_outcomes(
 #: Partition tick stored for keys whose outcome read no partition.
 _NO_PARTITIONS = np.iinfo(np.int32).max
 
+#: Partition id padding the read table: the detector's sentinel, whose
+#: version never moves.
+_NO_PARTITION_ID = 0
+
+
+def _ragged(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column of each element of ragged rows *lengths* long,
+    laid end to end."""
+    row = np.repeat(np.arange(len(lengths)), lengths)
+    return row, np.arange(len(row)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+
 
 class DeltaKeyCache:
     """Local what-if deltas per probe key, recombined in one NumPy pass.
@@ -99,12 +110,19 @@ class DeltaKeyCache:
     * a **global** part read fresh at every scoring — the per-rule
       weights ``w_i`` and satisfying counts ``S_i = |D ⊨ φ_i|``.
 
-    A key's local part only goes stale when what it read moved:
-    constant-rule deltas are a pure function of the key; variable-rule
-    deltas also read the tuple's own LHS partition and the candidate's
-    destination partition, recorded at probe time and checked against
-    the detector's per-partition versions; a detector rebuild
-    (``rebuild_epoch``) retires every key.
+    A key's local part only goes stale when what it read moved. Its
+    constant-rule terms (the first ``head`` columns, in plan order) are
+    a pure function of the key; its variable-rule terms (the tail) also
+    read the tuple's own LHS partition and the candidate's destination
+    partition. The ids of those partitions are stored per key in a
+    padded table, and one NumPy pass compares them with the detector's
+    :attr:`~repro.constraints.violations.ViolationDetector.partition_versions`:
+    a key whose partition moved after its tick keeps its head and
+    re-probes only its tail. A detector rebuild (``rebuild_epoch``)
+    retires every key, head included. A refresh re-probes through at
+    most two batched detector calls (signatures holding a stale key
+    whole, the others tail only) and writes the terms back with one
+    fancy-index store per table.
 
     The table holds at most *capacity* keys and is cleared wholesale
     before an insert that would overflow it (``generation`` moves, so
@@ -118,21 +136,26 @@ class DeltaKeyCache:
         self._ids: dict[tuple, int] = {}
         # per key id: the key, the rebuild epoch it was probed at (-1:
         # never), the partition tick it was last known current at, and
-        # the variable-rule partitions its outcome read
+        # the ids of the variable-rule partitions its outcome read
+        # (padded with the never-moving sentinel)
         self._keys: list[tuple] = []
         self._epoch = np.empty(0, dtype=np.int32)
         self._tick = np.empty(0, dtype=np.int32)
-        self._reads: list = []
+        self._pids = np.zeros((0, 1), dtype=np.int32)
         # per key id, padded term rows: rule index, vio_reduction, d
-        # (padding reads rule 0 with reduction 0: an exact +0.0 term).
+        # (padding reads rule 0 with reduction 0: an exact +0.0 term),
+        # the term count and how many leading terms are constant-rule.
         # Every table is int32: a reduction or d is bounded by twice a
         # partition's size, and each term promotes to int64/float64
         # before any arithmetic, so the Eq. 6 sums are those of int64
         self._count = np.empty(0, dtype=np.int32)
+        self._head = np.empty(0, dtype=np.int32)
         self._rule = np.zeros((0, 1), dtype=np.int32)
         self._reduction = np.zeros((0, 1), dtype=np.int32)
         self._delta = np.zeros((0, 1), dtype=np.int32)
-        self._rule_index = {rule: i for i, rule in enumerate(detector.rule_counts()[0])}
+        rules = detector.rule_counts()[0]
+        self._rule_index = {rule: i for i, rule in enumerate(rules)}
+        self._variable = np.array([not rule.is_constant for rule in rules], dtype=bool)
         self.hits = 0
         self.clears = 0
         self.reprobes = {"new": 0, "moved": 0, "rebuild": 0}
@@ -158,25 +181,10 @@ class DeltaKeyCache:
         """Drop every key; ids handed out before become void."""
         self._ids.clear()
         self._keys.clear()
-        self._reads.clear()
         self.generation += 1
         self.clears += 1
 
     # ------------------------------------------------------------------
-    def _keys_of(self, updates: list[CandidateUpdate]) -> list[tuple]:
-        """Probe keys of *updates*, one signature gather per attribute."""
-        by_attribute: dict[str, list[int]] = {}
-        for i, update in enumerate(updates):
-            by_attribute.setdefault(update.attribute, []).append(i)
-        keys: list = [None] * len(updates)
-        for attribute, indices in by_attribute.items():
-            signatures = self._detector.probe_signatures(
-                [updates[i].tid for i in indices], attribute
-            )
-            for i, signature in zip(indices, signatures):
-                keys[i] = (attribute, signature, updates[i].value)
-        return keys
-
     def resolve(
         self, batches: list[tuple[list[CandidateUpdate], np.ndarray | None]]
     ) -> list[np.ndarray] | None:
@@ -189,15 +197,13 @@ class DeltaKeyCache:
         when the batches alone hold more distinct keys than the
         capacity — the caller then scores them without the table.
         """
-        keyed = [None if ids is not None else self._keys_of(updates) for updates, ids in batches]
+        keyed: list = [None] * len(batches)
+        self._fill_keys(keyed, batches, [i for i, (__, ids) in enumerate(batches) if ids is None])
         known = self._ids
         fresh = {k for keys in keyed if keys is not None for k in keys if k not in known}
         if len(known) + len(fresh) > self._capacity:
             self.clear()
-            keyed = [
-                keys if keys is not None else self._keys_of(updates)
-                for keys, (updates, __) in zip(keyed, batches)
-            ]
+            self._fill_keys(keyed, batches, [i for i, keys in enumerate(keyed) if keys is None])
             fresh = {k for keys in keyed for k in keys}
             if len(fresh) > self._capacity:
                 return None
@@ -208,26 +214,50 @@ class DeltaKeyCache:
             for keys, (__, ids) in zip(keyed, batches)
         ]
 
+    def _fill_keys(self, keyed: list, batches: list, todo: list[int]) -> None:
+        """Set ``keyed[i]`` to the probe keys of batch *i* for each *i*
+        in *todo*, with one signature gather per attribute over all of
+        them."""
+        flat = [update for i in todo for update in batches[i][0]]
+        by_attribute: dict[str, list[int]] = {}
+        for k, update in enumerate(flat):
+            by_attribute.setdefault(update.attribute, []).append(k)
+        keys: list = [None] * len(flat)
+        for attribute, indices in by_attribute.items():
+            signatures = self._detector.probe_signatures([flat[k].tid for k in indices], attribute)
+            for k, signature in zip(indices, signatures):
+                keys[k] = (attribute, signature, flat[k].value)
+        offset = 0
+        for i in todo:
+            size = len(batches[i][0])
+            keyed[i] = keys[offset : offset + size]
+            offset += size
+
     def _insert(self, key: tuple) -> None:
         key_id = len(self._keys)
         self._ids[key] = key_id
         self._keys.append(key)
-        self._reads.append(())
         if key_id >= len(self._epoch):
-            self._grow(max(64, 2 * key_id), self._rule.shape[1])
+            self._grow(max(64, 2 * key_id))
         self._epoch[key_id] = -1
 
-    def _grow(self, rows: int, width: int) -> None:
+    def _grow(self, rows: int, width: int = 0, read_width: int = 0) -> None:
+        """Resize to *rows* key rows, widening the term tables to at
+        least *width* columns and the read table to *read_width*."""
         old = len(self._epoch)
-        self._epoch = np.resize(self._epoch, rows)
-        self._tick = np.resize(self._tick, rows)
-        self._count = np.resize(self._count, rows)
-        grown = []
-        for table in (self._rule, self._reduction, self._delta):
-            wider = np.zeros((rows, width), dtype=np.int32)
-            wider[: min(old, rows), : table.shape[1]] = table[: min(old, rows)]
-            grown.append(wider)
-        self._rule, self._reduction, self._delta = grown
+        keep = min(old, rows)
+        for name in ("_epoch", "_tick", "_count", "_head"):
+            setattr(self, name, np.resize(getattr(self, name), rows))
+        for name, least in (
+            ("_rule", width),
+            ("_reduction", width),
+            ("_delta", width),
+            ("_pids", read_width),
+        ):
+            table = getattr(self, name)
+            wider = np.zeros((rows, max(least, table.shape[1])), dtype=np.int32)
+            wider[:keep, : table.shape[1]] = table[:keep]
+            setattr(self, name, wider)
 
     # ------------------------------------------------------------------
     def benefits(
@@ -247,7 +277,7 @@ class DeltaKeyCache:
         if not len(ids):
             return []
         rules, __, satisfying = self._detector.rule_counts()
-        self._refresh_keys(ids, updates, satisfying.tolist())
+        self._refresh_keys(ids, updates, satisfying)
         weight = np.array([weights.get(rule, 0.0) for rule in rules], dtype=np.float64)
         width = int(self._count[ids].max())
         total = np.zeros(len(ids), dtype=np.float64)
@@ -261,8 +291,14 @@ class DeltaKeyCache:
             )
         return total.tolist()
 
+    def moved(self, key_ids: np.ndarray) -> np.ndarray:
+        """Boolean mask over *key_ids*: a partition the key's outcome
+        read changed after the key's tick (one pass over the read table)."""
+        versions = self._detector.partition_versions
+        return (versions[self._pids[key_ids]] > self._tick[key_ids, None]).any(axis=1)
+
     def _refresh_keys(
-        self, ids: np.ndarray, updates: list[CandidateUpdate], satisfying: list[int]
+        self, ids: np.ndarray, updates: list[CandidateUpdate], satisfying: np.ndarray
     ) -> None:
         """Re-probe every key in *ids* whose local part is stale."""
         detector = self._detector
@@ -274,63 +310,112 @@ class DeltaKeyCache:
         # keys that read no partition stay current until a rebuild; the
         # others are checked once per partition movement
         check = used[current & (self._tick[used] < tick)]
-        moved = []
-        reads = self._reads
-        ticks = self._tick
-        for key_id in check.tolist():
-            if detector.partitions_moved(reads[key_id], int(ticks[key_id])):
-                moved.append(key_id)
-            else:
-                ticks[key_id] = tick
+        moved = check
+        if len(check):
+            hit = self.moved(check)
+            self._tick[check[~hit]] = tick
+            moved = check[hit]
         self.hits += int(current.sum()) - len(moved)
         stale = used[~current]
-        if not len(stale) and not moved:
+        if not len(stale) and not len(moved):
             return
         new = int((probed_at < 0).sum())
         self.reprobes["new"] += new
         self.reprobes["rebuild"] += len(stale) - new
         self.reprobes["moved"] += len(moved)
-        first_of = dict(zip(used.tolist(), first.tolist()))
-        # one probe per (attribute, signature): every stale value of a
+        # one probe per (attribute, signature): every value of a
         # signature shares the probe's per-cell setup
-        by_signature: dict[tuple, tuple[int, list[int]]] = {}
-        for key_id in stale.tolist() + moved:
-            attribute, signature, __ = self._keys[key_id]
+        reprobe = np.concatenate((stale, moved))
+        leads = first[np.searchsorted(used, reprobe)].tolist()
+        by_signature: dict[tuple, tuple[int, list[int], list]] = {}
+        for key_id, lead in zip(reprobe.tolist(), leads):
+            attribute, signature, value = self._keys[key_id]
             entry = by_signature.get((attribute, signature))
             if entry is None:
-                tid = updates[first_of[key_id]].tid
-                by_signature[(attribute, signature)] = (tid, [key_id])
-            else:
-                entry[1].append(key_id)
+                entry = by_signature[(attribute, signature)] = (updates[lead].tid, [], [])
+            entry[1].append(key_id)
+            entry[2].append(value)
+        # a signature with a stale key re-probes whole; one whose keys
+        # all moved keeps their constant heads and re-probes only the
+        # variable-rule tails (stale keys lead their entries)
+        stale_ids = set(stale.tolist())
+        whole, tails = [], []
+        for entry in by_signature.values():
+            (whole if entry[1][0] in stale_ids else tails).append(entry)
+        probed: list[int] = []
+        starts: list[int] = []
+        lengths: list[int] = []
+        terms: list[tuple] = []
+        read_lengths: list[int] = []
+        read_ids: list[int] = []
         rule_index = self._rule_index
-        for (attribute, __), (tid, key_ids) in by_signature.items():
-            probe_reads: list = []
-            rows = detector.what_if_moved_many(
-                tid, attribute, [self._keys[k][2] for k in key_ids], probe_reads
+        head = self._head
+        for entries, variable_only in ((whole, False), (tails, True)):
+            if not entries:
+                continue
+            reads: list = []
+            rows = detector.what_if_moved_many_cells(
+                [(tid, self._keys[key_ids[0]][0], values) for tid, key_ids, values in entries],
+                reads,
+                variable_only=variable_only,
             )
-            for key_id, pairs, read in zip(key_ids, rows, probe_reads):
-                terms = [
-                    (i, outcome[3], outcome[2] - satisfying[i])
-                    for i, outcome in ((rule_index[rule], outcome) for rule, outcome in pairs)
-                ]
-                self._store(key_id, terms, read, epoch, tick)
+            for (__, key_ids, __), cell_rows, cell_reads in zip(entries, rows, reads):
+                for key_id, pairs, pids in zip(key_ids, cell_rows, cell_reads):
+                    probed.append(key_id)
+                    starts.append(int(head[key_id]) if variable_only else 0)
+                    lengths.append(len(pairs))
+                    terms.extend((rule_index[rule], outcome[3], outcome[2]) for rule, outcome in pairs)
+                    read_lengths.append(len(pids))
+                    read_ids.extend(pids)
+        self._write(probed, starts, lengths, terms, read_lengths, read_ids, satisfying, epoch, tick)
 
-    def _store(self, key_id: int, terms: list, read, epoch: int, tick: int) -> None:
-        width = len(terms)
-        if width > self._rule.shape[1]:
-            self._grow(len(self._epoch), width)
-        self._rule[key_id] = 0
-        self._reduction[key_id] = 0
-        self._delta[key_id] = 0
-        for column, (rule, reduction, delta) in enumerate(terms):
-            self._rule[key_id, column] = rule
-            self._reduction[key_id, column] = reduction
-            self._delta[key_id, column] = delta
-        self._count[key_id] = width
-        self._epoch[key_id] = epoch
+    def _write(
+        self,
+        probed: list[int],
+        starts: list[int],
+        lengths: list[int],
+        terms: list[tuple],
+        read_lengths: list[int],
+        read_ids: list[int],
+        satisfying: np.ndarray,
+        epoch: int,
+        tick: int,
+    ) -> None:
+        """Write the re-probed keys' terms (from each key's start
+        column on) and partition reads with one fancy-index store per
+        table."""
+        keys = np.array(probed, dtype=np.int64)
+        start = np.array(starts, dtype=np.int64)
+        length = np.array(lengths, dtype=np.int64)
+        n_reads = np.array(read_lengths, dtype=np.int64)
+        count = start + length
+        width, read_width = int(count.max()), int(n_reads.max())
+        if width > self._rule.shape[1] or read_width > self._pids.shape[1]:
+            self._grow(len(self._epoch), width, read_width)
+        # padding from each key's start column on (a kept head stays)
+        tail = np.arange(self._rule.shape[1]) >= start[:, None]
+        for table in (self._rule, self._reduction, self._delta):
+            table[keys] = np.where(tail, 0, table[keys])
+        constant = np.zeros(len(keys), dtype=np.int64)
+        if terms:
+            rule, reduction, satisfying_after = np.array(terms, dtype=np.int64).T
+            owner, column = _ragged(length)
+            rows, column = keys[owner], column + start[owner]
+            self._rule[rows, column] = rule
+            self._reduction[rows, column] = reduction
+            self._delta[rows, column] = satisfying_after - satisfying[rule]
+            constant = np.bincount(owner[~self._variable[rule]], minlength=len(keys))
+        # a tail re-probe starts at the kept head and reports no
+        # constant-rule term, so the head stays
+        self._head[keys] = start + constant
+        self._count[keys] = count
+        self._epoch[keys] = epoch
+        self._pids[keys] = _NO_PARTITION_ID
+        if read_ids:
+            owner, column = _ragged(n_reads)
+            self._pids[keys[owner], column] = read_ids
         # a key reading no partition never needs a movement check
-        self._tick[key_id] = tick if read else _NO_PARTITIONS
-        self._reads[key_id] = tuple(read)
+        self._tick[keys] = np.where(n_reads > 0, tick, _NO_PARTITIONS)
 
 
 class VOIEstimator:

@@ -21,7 +21,7 @@ LHS partitions and RHS histograms vectorize with
 Two dictionary-encoding caveats worth knowing:
 
 * vocabularies are append-only: overwriting the last occurrence of a
-  value does **not** retire its code. ``values_at`` therefore decodes
+  value does **not** retire its code. ``codes_at`` therefore reads
   codes of *live* rows only and never leaks stale values;
 * code equality follows Python ``dict`` semantics (``1``, ``1.0`` and
   ``True`` share a code), so a stored value reads back as the first
@@ -310,39 +310,12 @@ class ColumnStore:
     # ------------------------------------------------------------------
     # vectorized predicates
     # ------------------------------------------------------------------
-    def match_mask(
-        self, items: Iterable[tuple[int, object]], exclude_tid: int | None = None
-    ) -> np.ndarray:
-        """Boolean row mask for an equality conjunction.
-
-        *items* is an iterable of ``(column position, value)`` pairs; the
-        result marks rows agreeing with every pair. A value absent from
-        a column's vocabulary short-circuits to the empty mask.
-        """
-        mask = np.ones(self._size, dtype=bool)
-        for pos, value in items:
-            code = self._vocabs[pos].code_of(value)
-            if code < 0:
-                return np.zeros(self._size, dtype=bool)
-            mask &= self.codes(pos) == code
-        if exclude_tid is not None:
-            if exclude_tid in self:
-                mask[self.position_of(exclude_tid)] = False
-        return mask
-
-    def match_tids(
-        self, items: Iterable[tuple[int, object]], exclude_tid: int | None = None
-    ) -> list[int]:
-        """Tuple ids satisfying an equality conjunction."""
-        tids: list[int] = self.tids()[self.match_mask(items, exclude_tid)].tolist()
-        return tids
-
     def match_mask_codes(self, items: Iterable[tuple[int, int]]) -> np.ndarray:
         """Boolean row mask for an equality conjunction over raw codes.
 
-        Like :meth:`match_mask` but takes pre-encoded codes (e.g. read
-        off another row via :meth:`code_at`), skipping vocabulary
-        lookups.
+        *items* is an iterable of ``(column position, code)`` pairs
+        (e.g. codes read off another row via :meth:`code_at`); the
+        result marks the live rows agreeing with every pair.
         """
         mask = np.ones(self._size, dtype=bool)
         for pos, code in items:
@@ -352,15 +325,12 @@ class ColumnStore:
     def codes_at(self, pos: int, mask: np.ndarray) -> np.ndarray:
         """Distinct codes of column *pos* over the masked rows (sorted).
 
-        The code-space companion of :meth:`values_at`: consumers that
-        memoise or score in code space (the suggestion engine's witness
-        pools) read codes directly and decode only what they keep.
+        Consumers that memoise or score in code space (the suggestion
+        engine's witness pools) read codes directly and decode only
+        what they keep, through the column's
+        :meth:`Vocabulary.decode_many`.
         """
         return np.unique(self.codes(pos)[mask])
-
-    def values_at(self, pos: int, mask: np.ndarray) -> list[object]:
-        """Distinct decoded values of column *pos* over the masked rows."""
-        return self._vocabs[pos].decode_many(self.codes_at(pos, mask).tolist())
 
     def __repr__(self) -> str:
         return f"ColumnStore({self.schema.name!r}, {self._size} rows, {len(self.schema)} columns)"

@@ -16,6 +16,14 @@ The invariant guard cannot stand in for this test: its reference
 ranking shares the live estimator, so a stale key would agree with
 itself.
 
+Every step also checks the probe-key table itself. Before the refresh,
+the table's one-pass moved set must equal the per-key reference loop
+over logged partition touches (``tests/oracles/partitions.py``). After
+it, every key still current at the table's epoch and tick must hold
+exactly the terms a fresh dense probe gives, so a stale constant head
+or a missed partition move fails even where it would not change the
+ranking.
+
 After a refit the cache votes members whose rows held still from their
 stored committee encodings. The lockstep tests run every step on a
 second engine whose learner re-encodes every member it predicts
@@ -28,6 +36,7 @@ from __future__ import annotations
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -35,7 +44,19 @@ from hypothesis import strategies as st
 from repro.core import GDRConfig, GDREngine, GroundTruthOracle, VOIEstimator
 from repro.datasets import load_dataset
 from repro.repair import Feedback, UserFeedback
+from tests.oracles.partitions import moved_keys, recorded_touches
 from tests.oracles.probabilities import use_fresh_probabilities
+
+#: Partition touches logged for the per-key reference check.
+_TOUCHES: dict = {}
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _log_touches():
+    with recorded_touches() as log:
+        _TOUCHES["log"] = log
+        yield
+    _TOUCHES.clear()
 
 
 class DenseOnlyStats:
@@ -79,12 +100,69 @@ def _engine(dataset: str, n: int, preset: str = "gdr"):
 
 def _assert_parity(engine) -> None:
     engine.manager.refresh_suggestions()
+    _assert_moved_set(engine)
     cached = engine.benefit_cache.rank_all(engine.probability)
     reference = VOIEstimator(DenseOnlyStats(engine.detector)).rank_groups(
         engine.group_index.groups(), engine.probability
     )
     assert [(g.key, b) for g, b in cached] == [(g.key, b) for g, b in reference]
     _assert_stored_probabilities(engine)
+    _assert_current_keys_exact(engine)
+
+
+def _checked_keys(cache) -> np.ndarray:
+    """Keys probed at the current rebuild epoch that read a partition
+    and were last known current before the partition clock's tick."""
+    detector = cache._detector
+    keys = np.arange(len(cache))
+    epoch_ok = cache._epoch[keys] == detector.rebuild_epoch
+    return keys[epoch_ok & (cache._tick[keys] < detector.partition_tick)]
+
+
+def _assert_moved_set(engine) -> None:
+    """The table's one-pass moved set equals the per-key reference."""
+    cache = engine.voi.deltas
+    keys = _checked_keys(cache)
+    assert cache.moved(keys).tolist() == moved_keys(cache, keys, _TOUCHES["log"]).tolist()
+
+
+def _assert_current_keys_exact(engine) -> None:
+    """Every key current at the table's epoch and tick holds exactly
+    the terms (constant head first) of a fresh dense probe."""
+    cache = engine.voi.deltas
+    detector = engine.detector
+    rules, __, satisfying = detector.rule_counts()
+    index = {rule: i for i, rule in enumerate(rules)}
+    keys = np.arange(len(cache))
+    keys = keys[cache._epoch[keys] == detector.rebuild_epoch]
+    current = ~moved_keys(cache, keys, _TOUCHES["log"])
+    tids = engine.db.tids()
+    tid_of: dict[tuple, int] = {}
+    for k in keys[current].tolist():
+        attribute, signature, value = cache._keys[k]
+        if (attribute, signature) not in tid_of:
+            for tid, sig in zip(tids, detector.probe_signatures(tids, attribute)):
+                tid_of.setdefault((attribute, sig), tid)
+        tid = tid_of.get((attribute, signature))
+        if tid is None:  # no live tuple carries the signature now
+            continue
+        outcomes = detector.what_if_many(tid, attribute, [value])[0]
+        fresh = [
+            (index[rule], o.vio_reduction, o.satisfying_after - int(satisfying[index[rule]]))
+            for rule, o in outcomes.items()
+            if o.vio_reduction != 0
+        ]
+        count = int(cache._count[k])
+        stored = list(
+            zip(
+                cache._rule[k, :count].tolist(),
+                cache._reduction[k, :count].tolist(),
+                cache._delta[k, :count].tolist(),
+            )
+        )
+        assert stored == fresh
+        assert int(cache._head[k]) == sum(1 for i, __, __ in fresh if rules[i].is_constant)
+        assert not cache._reduction[k, count:].any()
 
 
 def _assert_stored_probabilities(engine) -> None:
