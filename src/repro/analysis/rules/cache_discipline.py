@@ -10,9 +10,9 @@ safe (PRs 2–8):
   generations);
 * **bounded** — a capacity cap with a defined overflow policy, so a
   million-tuple session cannot grow a memo without limit;
-* **observable** — a ``stats`` counter surface, so the benches, the
-  invariant guard and ``engine.health()`` can see hit rates and
-  occupancy instead of guessing.
+* **observable** — a ``stats`` counter surface, so the benches and
+  ``engine.health()`` can see hit rates and occupancy instead of
+  guessing.
 
 This rule finds cache-holding classes — any class assigning a
 dict-valued ``self.*_memo`` / ``self.*_cache`` attribute, or any class

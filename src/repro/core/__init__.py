@@ -3,7 +3,6 @@
 from repro.core.effort import EffortPolicy, FeedbackBudget
 from repro.core.gdr import GDRConfig, GDREngine, GDRResult
 from repro.core.grouping import GroupIndex, UpdateGroup, group_sort_key, group_updates
-from repro.core.guard import Incident, InvariantGuard
 from repro.core.learner import FeedbackLearner, LearnerPrediction
 from repro.core.metrics import RepairReport, TrajectoryPoint, evaluate_repair
 from repro.core.quality import QualityEvaluator, quality_improvement
@@ -24,9 +23,7 @@ __all__ = [
     "GroundTruthOracle",
     "GroupBenefitCache",
     "GroupIndex",
-    "Incident",
     "InteractiveSession",
-    "InvariantGuard",
     "LearnerPrediction",
     "NoisyOracle",
     "QualityEvaluator",

@@ -23,10 +23,10 @@ picks the top group off the event-maintained
 :class:`~repro.core.voi.GroupBenefitCache` under VOI ranking), and the
 learner decides through wave-batched committee passes against a
 snapshot view (:func:`~repro.core.session.decide_batched`). The golden
-trajectories under ``tests/golden/`` pin the results. The rebuild
-references that remain — ``refresh_suggestions_full``, and
-``group_updates`` ranked by ``RankingStrategy.rank`` — serve the first
-refresh, the guard's audits and its degraded pick.
+trajectories under ``tests/golden/`` pin the results, and tier-1
+lockstep tests check every incrementally maintained structure against
+its rebuild reference. ``refresh_suggestions_full`` serves the first
+refresh.
 """
 
 from __future__ import annotations
@@ -39,8 +39,7 @@ from pathlib import Path
 from repro.constraints.repository import RuleSet
 from repro.constraints.violations import ViolationDetector
 from repro.core.effort import EffortPolicy, FeedbackBudget
-from repro.core.grouping import GroupIndex, UpdateGroup, group_updates
-from repro.core.guard import InvariantGuard
+from repro.core.grouping import GroupIndex, UpdateGroup
 from repro.core.learner import FeedbackLearner
 from repro.core.metrics import RepairReport, TrajectoryPoint, evaluate_repair
 from repro.core.quality import QualityEvaluator, quality_improvement
@@ -104,13 +103,6 @@ class GDRConfig:
         ``lru_cache``, which leaked entries across engines and datasets
         in one process; hit/miss counters are exposed through
         ``GDREngine.sim_cache.stats``.
-    guard / guard_interval / guard_max_incidents:
-        When *guard* is on, an :class:`~repro.core.guard.InvariantGuard`
-        audits the live incremental structures against their reference
-        paths every *guard_interval* engine steps, recovering corrupted
-        components in place and escalating to
-        :class:`~repro.errors.IntegrityError` past *guard_max_incidents*
-        recorded incidents.
     journal_path / journal_fsync:
         When *journal_path* is set, every feedback decision and
         database write is appended to a write-ahead
@@ -148,9 +140,6 @@ class GDRConfig:
     max_iterations: int = 100_000
     voi_cache_capacity: int = 1 << 20
     sim_cache_capacity: int = 1 << 20
-    guard: bool = False
-    guard_interval: int = 4
-    guard_max_incidents: int = 25
     journal_path: str | None = None
     journal_fsync: bool = False
     checkpoint_path: str | None = None
@@ -170,16 +159,6 @@ class GDRConfig:
         if self.sim_cache_capacity < 1:
             raise ConfigError(
                 f"sim_cache_capacity must be positive, got {self.sim_cache_capacity!r}"
-            )
-        if not isinstance(self.guard, bool):
-            raise ConfigError(f"guard must be a bool, got {self.guard!r}")
-        if self.guard_interval < 1:
-            raise ConfigError(
-                f"guard_interval must be >= 1, got {self.guard_interval!r}"
-            )
-        if self.guard_max_incidents < 1:
-            raise ConfigError(
-                f"guard_max_incidents must be >= 1, got {self.guard_max_incidents!r}"
             )
         if self.journal_path is not None and not str(self.journal_path):
             raise ConfigError("journal_path must be None or a non-empty path")
@@ -353,7 +332,7 @@ class GDREngine:
                 self.learner,
             )
 
-        # robustness layer: write-ahead journal + invariant guard
+        # robustness layer: write-ahead journal
         self.journal: FeedbackJournal | None = None
         if self.config.journal_path is not None:
             self.journal = FeedbackJournal(
@@ -363,13 +342,6 @@ class GDREngine:
             db.add_write_hook(self._journal_write_hook)
             if self.journal.seq == 0:
                 self.journal.log_meta(db, asdict(self.config))
-        self.guard: InvariantGuard | None = None
-        if self.config.guard:
-            self.guard = InvariantGuard(
-                self,
-                interval=self.config.guard_interval,
-                max_incidents=self.config.guard_max_incidents,
-            )
 
         if generate:
             self.generator.generate_all()
@@ -424,11 +396,14 @@ class GDREngine:
     # ------------------------------------------------------------------
     # durability: checkpoint / restore / resume
     # ------------------------------------------------------------------
-    #: 4: the config lost the reference-path knobs (``pipeline``,
-    #: ``drain``, ``suggest``, ``learner``), which a format-3 file still
-    #: carries; 3: committees pickle as per-forest node arrays (format-2
-    #: files hold per-tree objects a restored learner cannot predict with)
-    _CHECKPOINT_FORMAT = 4
+    #: 5: the config lost the three runtime-audit knobs (``guard``
+    #: and its interval and incident budget), which a format-4 file
+    #: still carries; 4: the config lost the reference-path knobs
+    #: (``pipeline``, ``drain``, ``suggest``, ``learner``), which a
+    #: format-3 file still carries; 3: committees pickle as per-forest
+    #: node arrays (format-2 files hold per-tree objects a restored
+    #: learner cannot predict with)
+    _CHECKPOINT_FORMAT = 5
 
     def checkpoint(self, path: str | Path) -> None:
         """Serialise the full session state to *path*, atomically.
@@ -576,7 +551,7 @@ class GDREngine:
 
     # ------------------------------------------------------------------
     def health(self) -> dict:
-        """One aggregated snapshot of every cache/guard/journal counter.
+        """One aggregated snapshot of every cache and journal counter.
 
         The benches read this instead of plumbing individual counters;
         keys mirror the component names (``sim`` →
@@ -592,19 +567,17 @@ class GDREngine:
         ``UpdateGenerator.stats`` (the witness, scenario-2 and decision
         memos: sizes, hits, misses, and the decision memo's evictions on
         writes that moved a pool and wholesale clears by cause),
-        ``guard`` → tick/audit/incident counters plus the structured incident records, ``journal`` →
-        path and sequence, ``faults`` → the registered fault points
-        (from the machine-readable ``FAULT_POINT_REGISTRY``) and
-        whichever are currently armed).
+        ``journal`` → path and sequence, ``faults`` → the registered
+        fault points (from the machine-readable
+        ``FAULT_POINT_REGISTRY``) and whichever are currently armed).
         """
         from repro.testing.faults import armed_points, fault_points
 
-        snapshot: dict = {
+        return {
             "sim": dict(self.sim_cache.stats),
             "cache": dict(self.benefit_cache.stats) if self.benefit_cache is not None else {},
             "voi": dict(self.voi.stats),
             "generator": dict(self.generator.stats),
-            "guard": dict(self.guard.stats) if self.guard is not None else {},
             "journal": (
                 {"path": str(self.journal.path), "seq": self.journal.seq}
                 if self.journal is not None
@@ -617,9 +590,6 @@ class GDREngine:
                 "armed": armed_points(),
             },
         }
-        if self.guard is not None:
-            snapshot["incidents"] = [i.as_dict() for i in self.guard.incidents]
-        return snapshot
 
     # ------------------------------------------------------------------
     def _build_strategy(self) -> RankingStrategy:
@@ -751,8 +721,6 @@ class GDREngine:
             and result.iterations < self.config.max_iterations
         ):
             fault_hit("engine.iteration", iteration=result.iterations)
-            if self.guard is not None:
-                self.guard.tick()
             self._loop_state = capture("interactive")
             if auto_path is not None and result.iterations % self.config.checkpoint_every == 0:
                 self.checkpoint(auto_path)
@@ -813,19 +781,6 @@ class GDREngine:
           consuming the RNG exactly like a ranking of fresh groups.
         """
         index = self.group_index
-        if self.guard is not None:
-            # graceful degradation: an audit that just recovered the
-            # partition or the benefit cache routes this one selection
-            # through a ranking of freshly built groups; the repaired
-            # structure is trusted again from the next iteration on
-            degraded = self.guard.consume_degraded("benefit_cache")
-            if self.guard.consume_degraded("group_index"):
-                degraded = True
-            if degraded:
-                groups = group_updates(self.state.updates(), grouping=self.config.grouping)
-                ranked = self.strategy.rank(groups, self.probability)
-                group, benefit = ranked[0]
-                return group, benefit, max(score for __, score in ranked), len(ranked)
         if self.benefit_cache is not None:
             group, benefit = self.benefit_cache.top(self.probability)
             return group, benefit, benefit, len(index)
@@ -901,8 +856,6 @@ class GDREngine:
 
         for _pass in range(max_passes):
             fault_hit("engine.drain_pass", index=_pass)
-            if self.guard is not None:
-                self.guard.tick()
             self.manager.refresh_suggestions()
             updates = self._drain_candidates(restrict)
             if not updates:

@@ -10,8 +10,7 @@ CT".
 Two implementations coexist:
 
 * :func:`group_updates` rebuilds the partition from scratch — the
-  reference the index is verified against, and what the guard's
-  degraded pick ranks;
+  reference the index is verified against;
 * :class:`GroupIndex` maintains the partition *incrementally* from
   :class:`~repro.repair.state.RepairState` mutation events, so the
   interactive loop re-groups in O(changed suggestions) instead of
@@ -325,15 +324,6 @@ class GroupIndex:
         dirty = self._cursors[cursor]
         self._cursors[cursor] = set()
         return dirty
-
-    def rebuild(self) -> None:
-        """Discard the index and re-seed it from the live pool.
-
-        The recovery action when :meth:`verify` reports divergence:
-        afterwards the index is exactly what :func:`group_updates`
-        would build, and every dirty-key cursor sees all keys dirty.
-        """
-        self._rebuild()
 
     # ------------------------------------------------------------------
     def verify(self) -> bool:

@@ -1113,26 +1113,6 @@ class GroupBenefitCache:  # repolint: disable=cache-discipline
             self._group_ids[group.key] = ((index.version(group.key), generation), ids)
         return np.concatenate(resolved)
 
-    def invalidate(self) -> None:
-        """Drop every cached benefit, stamp, key and memoised ``p̃``.
-
-        The recovery action when the invariant guard finds a cached
-        benefit diverging from the Eq. 6 reference while its stamp
-        still reads current: the next :meth:`refresh` re-scores every
-        live group from scratch. Counters are kept.
-        """
-        self._benefit.clear()
-        self._stamp.clear()
-        self._token.clear()
-        self._heap.clear()
-        self._group_ids.clear()
-        self._group_probs.clear()
-        if self._estimator.deltas is not None:
-            self._estimator.deltas.clear()
-        self._written.clear()
-        # mark every live key dirty for the next refresh
-        self._index.poll_dirty_keys(self._cursor)
-
     def top(self, probability: ProbabilityFn) -> tuple[UpdateGroup, float] | None:
         """The most beneficial group and its benefit (``None`` if empty).
 

@@ -87,12 +87,3 @@ class JournalReplayError(JournalError):
     version — or when a replayed feedback record targets a suggestion
     the resumed session never produced.
     """
-
-
-class IntegrityError(ReproError):
-    """The invariant guard exhausted its incident budget.
-
-    Graceful degradation recovered individual components, but
-    divergences kept appearing; the session is no longer trustworthy
-    and hard failure is the only safe answer.
-    """

@@ -972,7 +972,7 @@ class UpdateGenerator:
         return injective
 
     # ------------------------------------------------------------------
-    # decision memo audit
+    # decision memo reference (read by the parity tests)
     # ------------------------------------------------------------------
     def decision_entries(self) -> list[tuple]:
         """Every memo entry as ``(attribute, rules, signature codes,
@@ -1011,11 +1011,6 @@ class UpdateGenerator:
         finally:
             fresh.detach()
 
-    def forget_decisions(self) -> None:
-        """Drop every memo entry (guard recovery)."""
-        self._clear_decisions()
-        self._decision_structural_clears += 1
-
     # ------------------------------------------------------------------
     def _select_best(
         self, attribute: str, current, pools, prevented
@@ -1047,9 +1042,8 @@ class UpdateGenerator:
 
         ``decision_memo_size`` counts memo entries; evictions count
         entries dropped because a write moved their pool, structural
-        clears count wholesale drops after an insert, delete, detector
-        rebuild or guard recovery, and ``decision_memo_clears`` counts
-        capacity clears.
+        clears count wholesale drops after an insert, delete or detector
+        rebuild, and ``decision_memo_clears`` counts capacity clears.
         """
         out: dict[str, int] = {
             "witness_memo_size": len(self._witness_memo),

@@ -413,13 +413,12 @@ class SimilarityCache:  # repolint: disable=cache-discipline
         self._pair_entries = 0
 
     def sample_entries(self, limit: int) -> list[tuple[int, int, int, float] | tuple[str, str, float]]:
-        """Up to *limit* memoised entries, for auditing.
+        """Up to *limit* memoised entries, for the lockstep tests.
 
         Code-space entries come back as ``(pos, current code,
         candidate code, sim)``, string-space entries as ``(current,
         candidate, sim)``. Deterministic order (insertion order of the
-        underlying dicts), so a sampling auditor with a fixed cursor
-        sees a stable stream.
+        underlying dicts).
         """
         out: list = []
         for (pos, cur_code), inner in self._pairs.items():

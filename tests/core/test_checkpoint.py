@@ -194,87 +194,61 @@ class TestRestoreErrors:
             GDREngine.restore(cp, figure1_rules, GroundTruthOracle(figure1_clean))
 
 
+#: Knobs a checkpoint of each old format carries that ``GDRConfig`` no
+#: longer accepts (format 2 differs in how committees pickle: per-tree
+#: objects a restored learner cannot predict with).
+_REMOVED_KNOBS = {
+    1: {"shards": 0},
+    2: {},
+    3: {"pipeline": "delta", "drain": "batched", "suggest": "batched", "learner": "hist"},
+    4: {"guard": False, "guard_interval": 4, "guard_max_incidents": 25},
+}
+
+
 class TestOldSessionFiles:
     """Session files of older formats: before the ``shards`` knob was
-    removed (format 1), before committees became node arrays (2) and
-    before the reference-path knobs were removed (3)."""
+    removed (format 1), before committees became node arrays (2), before
+    the reference-path knobs were removed (3) and before the guard knobs
+    were removed (4)."""
 
-    def test_format_1_checkpoint_fails_with_config_error(
-        self, figure1_dirty, figure1_clean, figure1_rules, tmp_path
+    @pytest.mark.parametrize("fmt", sorted(_REMOVED_KNOBS))
+    def test_old_format_checkpoint_fails_with_config_error(
+        self, fmt, figure1_dirty, figure1_clean, figure1_rules, tmp_path
     ):
+        """The config of an old file may carry knobs ``GDRConfig`` no
+        longer accepts; the format check must refuse the file first."""
         engine = make_engine(figure1_dirty, figure1_clean, figure1_rules, tmp_path)
         cp = tmp_path / "session.cp"
         engine.checkpoint(cp)
         engine.detach()
         payload = pickle.loads(cp.read_bytes())
-        payload["format"] = 1
-        payload["config"]["shards"] = 0
+        payload["format"] = fmt
+        payload["config"].update(_REMOVED_KNOBS[fmt])
         cp.write_bytes(pickle.dumps(payload))
-        with pytest.raises(ConfigError, match="has format 1, expected 4"):
-            GDREngine.restore(
-                cp, figure1_rules, GroundTruthOracle(figure1_clean), figure1_clean
-            )
-
-    def test_format_2_checkpoint_fails_with_config_error(
-        self, figure1_dirty, figure1_clean, figure1_rules, tmp_path
-    ):
-        """Format 2 pickled committees as per-tree objects; restoring
-        one must fail up front, not at the first prediction."""
-        engine = make_engine(figure1_dirty, figure1_clean, figure1_rules, tmp_path)
-        cp = tmp_path / "session.cp"
-        engine.checkpoint(cp)
-        engine.detach()
-        payload = pickle.loads(cp.read_bytes())
-        payload["format"] = 2
-        cp.write_bytes(pickle.dumps(payload))
-        with pytest.raises(ConfigError, match="has format 2, expected 4"):
-            GDREngine.restore(
-                cp, figure1_rules, GroundTruthOracle(figure1_clean), figure1_clean
-            )
-
-    def test_format_3_checkpoint_fails_with_config_error(
-        self, figure1_dirty, figure1_clean, figure1_rules, tmp_path
-    ):
-        """Format 3 configs carry the removed ``pipeline``/``drain``/
-        ``suggest``/``learner`` knobs, which ``GDRConfig`` no longer
-        accepts; the format check must refuse the file first."""
-        engine = make_engine(figure1_dirty, figure1_clean, figure1_rules, tmp_path)
-        cp = tmp_path / "session.cp"
-        engine.checkpoint(cp)
-        engine.detach()
-        payload = pickle.loads(cp.read_bytes())
-        payload["format"] = 3
-        payload["config"].update(
-            pipeline="delta", drain="batched", suggest="batched", learner="hist"
-        )
-        cp.write_bytes(pickle.dumps(payload))
-        with pytest.raises(ConfigError, match="has format 3, expected 4"):
+        with pytest.raises(ConfigError, match=f"has format {fmt}, expected 5"):
             GDREngine.restore(
                 cp, figure1_rules, GroundTruthOracle(figure1_clean), figure1_clean
             )
 
     def test_old_journal_names_the_removed_knob(self, figure1_dirty, tmp_path):
         config = asdict(GDRConfig.no_learning())
-        path = tmp_path / "journal.jsonl"
-        journal = FeedbackJournal(path)
-        journal.log_meta(figure1_dirty, {**config, "shards": 0})
-        journal.close()
-        with pytest.raises(JournalError, match="different config: shards differ"):
-            FeedbackJournal.verify_meta(path, figure1_dirty, config)
+        for knob, value in (("shards", 0), ("guard", False)):
+            path = tmp_path / f"journal-{knob}.jsonl"
+            journal = FeedbackJournal(path)
+            journal.log_meta(figure1_dirty, {**config, knob: value})
+            journal.close()
+            with pytest.raises(JournalError, match=f"different config: {knob} differ"):
+                FeedbackJournal.verify_meta(path, figure1_dirty, config)
 
 
 class TestHealth:
     def test_health_sections(self, figure1_dirty, figure1_clean, figure1_rules, tmp_path):
-        engine = make_engine(
-            figure1_dirty, figure1_clean, figure1_rules, tmp_path, guard=True
-        )
+        engine = make_engine(figure1_dirty, figure1_clean, figure1_rules, tmp_path)
         engine.run()
         health = engine.health()
-        assert set(health) >= {"sim", "cache", "voi", "guard", "journal", "incidents", "faults"}
+        assert set(health) == {"sim", "cache", "voi", "generator", "journal", "faults"}
         assert health["journal"]["seq"] > 0
-        assert health["guard"]["ticks"] > 0
         assert health["voi"]["key_table_size"] >= 0
-        assert health["incidents"] == []
         # the faults section mirrors the machine-readable registry
         from repro.testing.faults import FAULT_POINT_REGISTRY
 
@@ -295,6 +269,4 @@ class TestHealth:
             clean_db=figure1_clean,
         )
         health = engine.health()
-        assert health["guard"] == {}
         assert health["journal"] == {}
-        assert "incidents" not in health

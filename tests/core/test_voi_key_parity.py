@@ -12,9 +12,11 @@ every stored ``p̃`` vector must equal fresh committee predictions for
 its group's members — for the keyed groups of the GDR preset and for
 the attribute-spanning ``*`` group of ungrouped active learning.
 
-The invariant guard cannot stand in for this test: its reference
-ranking shares the live estimator, so a stale key would agree with
-itself.
+Each step first checks the incrementally maintained group index
+against a partition rebuilt from scratch (``GroupIndex.verify``), since
+the dense reference ranks the index's own groups, and last checks every
+Eq. 7 memo entry (the learner's encoder writes the string-space ones)
+against the scalar kernel (``tests/oracles/similarity.py``).
 
 Every step also checks the probe-key table itself. Before the refresh,
 the table's one-pass moved set must equal the per-key reference loop
@@ -46,6 +48,7 @@ from repro.datasets import load_dataset
 from repro.repair import Feedback, UserFeedback
 from tests.oracles.partitions import moved_keys, recorded_touches
 from tests.oracles.probabilities import use_fresh_probabilities
+from tests.oracles.similarity import stale_entries
 
 #: Partition touches logged for the per-key reference check.
 _TOUCHES: dict = {}
@@ -100,6 +103,7 @@ def _engine(dataset: str, n: int, preset: str = "gdr"):
 
 def _assert_parity(engine) -> None:
     engine.manager.refresh_suggestions()
+    assert engine.group_index.verify()
     _assert_moved_set(engine)
     cached = engine.benefit_cache.rank_all(engine.probability)
     reference = VOIEstimator(DenseOnlyStats(engine.detector)).rank_groups(
@@ -108,6 +112,7 @@ def _assert_parity(engine) -> None:
     assert [(g.key, b) for g, b in cached] == [(g.key, b) for g, b in reference]
     _assert_stored_probabilities(engine)
     _assert_current_keys_exact(engine)
+    assert not stale_entries(engine.sim_cache, engine.db.columns)
 
 
 def _checked_keys(cache) -> np.ndarray:
@@ -231,8 +236,6 @@ def _step(engine, op: str, a: int, b: int, directory: str = ""):
         _insert(engine, a, b)
     elif op == "delete":
         _delete(engine, a)
-    elif op == "invalidate":
-        engine.benefit_cache.invalidate()
     elif op == "restore":
         return _restore(engine, directory)
     else:
@@ -342,7 +345,7 @@ def _run_lockstep(dataset: str, n: int, steps, preset: str = "gdr") -> dict:
     return engines[0].benefit_cache.stats
 
 
-_LOCKSTEP_OPS = _OPS + ["refit", "invalidate", "restore"]
+_LOCKSTEP_OPS = _OPS + ["refit", "restore"]
 _LOCKSTEP_STEP = st.tuples(
     st.sampled_from(_LOCKSTEP_OPS),
     st.integers(0, 10**6),

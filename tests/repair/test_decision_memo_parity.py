@@ -8,7 +8,9 @@ feedback routed through the consistency manager, external
 ``db.set_value`` writes, inserts, deletes and detector rebuilds — every
 memo entry must equal a decision computed afresh for its signature, and
 ``generate_for_cells`` must return what a fresh scalar generator's
-``generate_for_cell`` returns, cell by cell.
+``generate_for_cell`` returns, cell by cell. Every entry of the
+engine's Eq. 7 similarity memo must equal the scalar ``similarity`` of
+its decoded pair (``tests/oracles/similarity.py``).
 
 Each instance carries one column where the values ``1`` and ``"1"``
 share a string form inside one variable-rule partition. Their order in
@@ -26,6 +28,7 @@ from hypothesis import strategies as st
 from repro.core import GDRConfig, GDREngine, GroundTruthOracle
 from repro.datasets import load_dataset
 from repro.repair import Feedback, RepairState, UpdateGenerator, UserFeedback
+from tests.oracles.similarity import stale_entries
 
 _KINDS = (Feedback.CONFIRM, Feedback.REJECT, Feedback.RETAIN)
 
@@ -80,6 +83,7 @@ def _assert_parity(engine) -> None:
     finally:
         reference.detach()
     assert generator.generate_for_cells(cells) == want
+    assert not stale_entries(engine.sim_cache, engine.db.columns)
 
 
 def _feedback(engine, a: int, b: int) -> None:

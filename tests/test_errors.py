@@ -6,7 +6,6 @@ import repro
 from repro.errors import (
     ConfigError,
     DatasetError,
-    IntegrityError,
     JournalError,
     JournalReplayError,
     NotFittedError,
@@ -34,7 +33,6 @@ class TestHierarchy:
             DatasetError,
             JournalError,
             JournalReplayError,
-            IntegrityError,
         ],
     )
     def test_all_derive_from_repro_error(self, exc):
@@ -78,10 +76,10 @@ class TestErrorPaths:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"guard": 1},
-            {"guard": "yes"},
-            {"guard_interval": 0},
-            {"guard_max_incidents": 0},
+            {"voi_cache_capacity": 0},
+            {"sim_cache_capacity": 0},
+            {"journal_fsync": "yes"},
+            {"checkpoint_every": -1},
             {"journal_path": ""},
             {"journal_fsync": 1},
             {"checkpoint_path": ""},
